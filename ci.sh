@@ -186,6 +186,24 @@ EOF
 wait "$svc_pid"
 rm -rf "$svc_dir"
 
+echo "== perfbench smoke =="
+# Two-second untraced run of each benchmark workload. Seed 1 carries the
+# pinned sweep and table digests, which hash serde_json output, so any
+# byte drift in the encoder fails here. The last line of each run is the
+# summary; it must report a correct run with no failed operations.
+for workload in plan-sweep feed-small feed-large; do
+  summary="$(cargo run --release --offline --quiet \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+  python3 - "$workload" "$summary" <<'EOF'
+import json, sys
+workload, summary = sys.argv[1], json.loads(sys.argv[2])
+assert summary["correct"] is True, f"{workload}: incorrect run {summary}"
+assert summary["failed"] == 0, f"{workload}: {summary['failed']} failed ops"
+print(f"perfbench {workload}: correct, {summary['attempted']} ops, 0 failed")
+EOF
+done
+
 echo "== chaos soak (1k decisions through the seeded fault proxy) =="
 # The seeded ChaosProxy soak: a RetryClient drives 1,000 decisions through
 # injected resets, truncations, stalls, and trickled bytes, then asserts

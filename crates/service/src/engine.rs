@@ -352,44 +352,10 @@ pub fn open_store(
     Ok((store, restored))
 }
 
-/// Renders the plant's hot state for `/status`.
-fn facility_status(facility: &FacilityState<'_>) -> FacilityStatus {
-    let ups = facility.ups().status();
-    let tes = facility.tes();
-    let room = facility.room();
-    let topo = facility.topology();
-    let mut breakers = Vec::with_capacity(1 + topo.pdu_count());
-    let mut push = |name: String, cb: &dcs_breaker::CircuitBreaker| {
-        breakers.push(BreakerStatus {
-            name,
-            trip_progress: cb.trip_progress(),
-            tripped: cb.is_tripped(),
-            rated_w: cb.rated().as_watts(),
-            no_trip_limit_w: cb.no_trip_limit().as_watts(),
-        });
-    };
-    push("dc".to_string(), topo.dc_breaker());
-    for (i, cb) in topo.pdu_breakers().iter().enumerate() {
-        push(format!("pdu-{i}"), cb);
-    }
-    FacilityStatus {
-        time_secs: facility.now().as_secs(),
-        room_temperature_c: room.temperature().as_celsius(),
-        room_headroom_c: room.headroom().as_celsius(),
-        ups: UpsStatus {
-            state_of_charge: ups.state_of_charge.as_f64(),
-            deliverable_wh: ups.deliverable.as_watt_hours(),
-            on_battery: ups.on_battery as u64,
-        },
-        tes: TesStatus {
-            state_of_charge: tes.state_of_charge().as_f64(),
-            stored_wh: tes.stored().as_watt_hours(),
-        },
-        breakers,
-    }
-}
-
-/// Publishes a fresh engine snapshot into [`Shared::status`].
+/// Refreshes the published engine snapshot in [`Shared::status`] in
+/// place. The breaker and strategy names are rebuilt only when the plant
+/// changes shape or strategy, so after a decision only numbers are
+/// rewritten.
 fn publish_status(
     shared: &Shared,
     decisions: u64,
@@ -397,17 +363,51 @@ fn publish_status(
     policy: &SprintPolicy,
     sink: &ServiceSink,
 ) {
-    let snapshot = EngineStatus {
-        decisions,
-        facility: facility_status(facility),
-        sprint: SprintStatus {
-            strategy: policy.strategy_name().to_string(),
-            active: policy.sprint_active(),
-            terminated: policy.export_hot_state().terminated,
-        },
-        window: sink.window(),
+    let ups = facility.ups().status();
+    let tes = facility.tes();
+    let room = facility.room();
+    let topo = facility.topology();
+    let mut status = shared.status.lock().expect("status lock");
+    let pdus = topo.pdu_count();
+    if status.facility.breakers.len() != 1 + pdus {
+        let names = std::iter::once("dc".to_string()).chain((0..pdus).map(|i| format!("pdu-{i}")));
+        status.facility.breakers = names
+            .map(|name| BreakerStatus {
+                name,
+                trip_progress: 0.0,
+                tripped: false,
+                rated_w: 0.0,
+                no_trip_limit_w: 0.0,
+            })
+            .collect();
+    }
+    if status.sprint.strategy != policy.strategy_name() {
+        status.sprint.strategy = policy.strategy_name().to_string();
+    }
+    status.decisions = decisions;
+    let out = &mut status.facility;
+    out.time_secs = facility.now().as_secs();
+    out.room_temperature_c = room.temperature().as_celsius();
+    out.room_headroom_c = room.headroom().as_celsius();
+    out.ups = UpsStatus {
+        state_of_charge: ups.state_of_charge.as_f64(),
+        deliverable_wh: ups.deliverable.as_watt_hours(),
+        on_battery: ups.on_battery as u64,
     };
-    *shared.status.lock().expect("status lock") = snapshot;
+    out.tes = TesStatus {
+        state_of_charge: tes.state_of_charge().as_f64(),
+        stored_wh: tes.stored().as_watt_hours(),
+    };
+    let breakers = std::iter::once(topo.dc_breaker()).chain(topo.pdu_breakers());
+    for (slot, cb) in out.breakers.iter_mut().zip(breakers) {
+        slot.trip_progress = cb.trip_progress();
+        slot.tripped = cb.is_tripped();
+        slot.rated_w = cb.rated().as_watts();
+        slot.no_trip_limit_w = cb.no_trip_limit().as_watts();
+    }
+    status.sprint.active = policy.sprint_active();
+    status.sprint.terminated = policy.export_hot_state().terminated;
+    status.window = sink.window();
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -628,5 +628,47 @@ pub fn run_engine(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The in-place refresh after each decision publishes exactly what a
+    /// first publish into an empty snapshot does.
+    #[test]
+    fn in_place_status_matches_a_fresh_snapshot() {
+        let config =
+            Arc::new(ServiceConfig::from_json(r#"{"pdus":3,"servers_per_pdu":20}"#).unwrap());
+        let spec = config.spec();
+        let controller = config.controller();
+        let mut facility = FacilityState::new(&spec, &controller);
+        let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
+        let mut sink = ServiceSink::with_window(config.window_steps());
+        let refreshed = Shared::new(config.clone());
+        publish_status(&refreshed, 0, &facility, &policy, &sink);
+        for i in 0..40u64 {
+            let demand = if (10..30).contains(&i) { 2.6 } else { 0.6 };
+            let input = StepInput::nominal(facility.now(), demand, Seconds::new(1.0));
+            step_cycle(&mut facility, &mut policy, &input, &mut sink);
+            publish_status(&refreshed, i + 1, &facility, &policy, &sink);
+        }
+        let fresh = Shared::new(config);
+        publish_status(&fresh, 40, &facility, &policy, &sink);
+        let refreshed = refreshed.status.lock().unwrap();
+        let fresh = fresh.status.lock().unwrap();
+        assert_eq!(refreshed.decisions, fresh.decisions);
+        assert_eq!(refreshed.facility, fresh.facility);
+        assert_eq!(refreshed.sprint, fresh.sprint);
+        assert_eq!(refreshed.window, fresh.window);
+        let names: Vec<&str> = fresh
+            .facility
+            .breakers
+            .iter()
+            .map(|b| b.name.as_str())
+            .collect();
+        assert_eq!(names, ["dc", "pdu-0", "pdu-1", "pdu-2"]);
+        assert!(fresh.facility.breakers.iter().all(|b| b.rated_w > 0.0));
     }
 }
