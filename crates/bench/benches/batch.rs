@@ -7,8 +7,8 @@ use dcs_core::{ControllerConfig, FixedBound};
 use dcs_faults::FaultSchedule;
 use dcs_sim::{
     build_upper_bound_table_stats, build_upper_bound_table_unbatched, degree_grid,
-    oracle_search_stats, oracle_search_unbatched, run_bound_batch, run_summary, OracleMode,
-    Scenario,
+    oracle_search_stats, oracle_search_unbatched, run_bound_batch, run_summary_with_faults,
+    OracleMode, Scenario,
 };
 use dcs_units::Seconds;
 use dcs_workload::yahoo_trace;
@@ -33,7 +33,9 @@ fn bench_grid_pass(c: &mut Criterion) {
     group.bench_function("grid_independent", |b| {
         b.iter(|| {
             grid.iter()
-                .map(|&bound| run_summary(&s, Box::new(FixedBound::new(bound))))
+                .map(|&bound| {
+                    run_summary_with_faults(&s, Box::new(FixedBound::new(bound)), &faults)
+                })
                 .collect::<Vec<_>>()
         })
     });

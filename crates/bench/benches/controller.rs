@@ -23,7 +23,7 @@ fn bench_energy_budget(c: &mut Criterion) {
     let config = ControllerConfig::default();
     let ctl = SprintController::new(&spec, &config, Box::new(Greedy));
     c.bench_function("controller/total_energy_budget", |b| {
-        b.iter(|| black_box(&ctl).total_energy_budget())
+        b.iter(|| black_box(&ctl).facility().total_energy_budget())
     });
 }
 

@@ -3,9 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dcs_core::{ControllerConfig, Greedy};
+use dcs_faults::FaultSchedule;
 use dcs_sim::{
-    oracle_search, oracle_search_exhaustive, run, run_summary, run_uncontrolled, Scenario,
-    UncontrolledMode,
+    oracle_search, oracle_search_stats, run, run_summary_with_faults, run_uncontrolled, OracleMode,
+    Scenario, UncontrolledMode,
 };
 use dcs_units::Seconds;
 use dcs_workload::{ms_trace, yahoo_trace};
@@ -33,7 +34,7 @@ fn bench_full_runs(c: &mut Criterion) {
         b.iter(|| run(&yahoo, Box::new(Greedy)))
     });
     group.bench_function("yahoo_burst_greedy_30min_lean", |b| {
-        b.iter(|| run_summary(&yahoo, Box::new(Greedy)))
+        b.iter(|| run_summary_with_faults(&yahoo, Box::new(Greedy), &FaultSchedule::NONE))
     });
     group.finish();
 }
@@ -43,7 +44,7 @@ fn bench_oracle(c: &mut Criterion) {
     group.sample_size(10);
     let s = scenario().with_trace(yahoo_trace::with_burst(1, 3.2, Seconds::from_minutes(15.0)));
     group.bench_function("search_exhaustive", |b| {
-        b.iter(|| oracle_search_exhaustive(&s))
+        b.iter(|| oracle_search_stats(&s, &FaultSchedule::NONE, OracleMode::Exhaustive).0)
     });
     group.bench_function("search_pruned", |b| b.iter(|| oracle_search(&s)));
     group.finish();

@@ -68,9 +68,8 @@ use dcs_server::{ChipSpec, ScalingModel, ServerSpec};
 use dcs_sim::{
     build_upper_bound_table_resumable, build_upper_bound_table_stats,
     build_upper_bound_table_unbatched, machine_parallelism, oracle_search_stats,
-    oracle_search_unbatched, run, run_bound_batch, run_summary, run_summary_with_faults,
-    table_checkpoint_store, with_worker_budget, BatchStats, OracleMode, Scenario, SimError,
-    Supervisor,
+    oracle_search_unbatched, run, run_bound_batch, run_summary_with_faults, table_checkpoint_store,
+    with_worker_budget, BatchStats, OracleMode, Scenario, SimError, Supervisor,
 };
 use dcs_units::{Power, Seconds};
 use dcs_workload::yahoo_trace;
@@ -429,10 +428,12 @@ fn main() {
 
     eprintln!("timing: 30-min Greedy run (full vs lean telemetry)...");
     let run_full_ms = time_ms(iters_run, || run(&scenario, Box::new(Greedy)));
-    let run_lean_ms = time_ms(iters_run, || run_summary(&scenario, Box::new(Greedy)));
+    let run_lean_ms = time_ms(iters_run, || {
+        run_summary_with_faults(&scenario, Box::new(Greedy), &FaultSchedule::NONE)
+    });
     let full = run(&scenario, Box::new(Greedy));
     assert_eq!(
-        run_summary(&scenario, Box::new(Greedy)),
+        run_summary_with_faults(&scenario, Box::new(Greedy), &FaultSchedule::NONE),
         full.summarize(),
         "lean run diverged from the summarized full run"
     );
@@ -745,7 +746,7 @@ fn main() {
             );
             run_full_ms = run_full_ms.min(time_ms(iters_run, || run(&scenario, Box::new(Greedy))));
             run_lean_ms = run_lean_ms.min(time_ms(iters_run, || {
-                run_summary(&scenario, Box::new(Greedy))
+                run_summary_with_faults(&scenario, Box::new(Greedy), &FaultSchedule::NONE)
             }));
             oracle_pr_ms = oracle_pr_ms.min(time_ms(iters_oracle, || {
                 oracle_search_stats(&scenario, &no_faults, OracleMode::Pruned)
@@ -807,7 +808,9 @@ fn main() {
         config.clone(),
         yahoo_trace::with_burst(1, 3.2, Seconds::from_minutes(15.0)),
     );
-    let h_run_ms = time_ms(iters_oracle, || run_summary(&h_scenario, Box::new(Greedy)));
+    let h_run_ms = time_ms(iters_oracle, || {
+        run_summary_with_faults(&h_scenario, Box::new(Greedy), &FaultSchedule::NONE)
+    });
     let h_oracle_ms = time_ms(iters_oracle, || {
         oracle_search_stats(&h_scenario, &no_faults, OracleMode::Pruned)
     });

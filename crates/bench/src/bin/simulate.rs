@@ -132,6 +132,18 @@ impl SimulateConfig {
                 self.dc_headroom_percent
             )));
         }
+        if let WorkloadConfig::YahooBurst {
+            degree, minutes, ..
+        } = &self.workload
+        {
+            for (name, value) in [("degree", degree), ("minutes", minutes)] {
+                if !value.is_finite() || *value < 0.0 {
+                    return Err(SimError::config(format!(
+                        "yahoo_burst {name} must be finite and non-negative (got {value})"
+                    )));
+                }
+            }
+        }
         let faults = self.faults.clone().unwrap_or_else(FaultSchedule::none);
         faults.validate().map_err(SimError::faults)?;
         match &self.strategy {

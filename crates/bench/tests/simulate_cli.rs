@@ -88,6 +88,25 @@ fn invalid_bound_exits_with_config_code() {
 }
 
 #[test]
+fn negative_burst_degree_exits_with_config_code() {
+    let path = scratch("negdegree");
+    std::fs::write(
+        &path,
+        r#"{"pdus":2,"servers_per_pdu":50,"dc_headroom_percent":10.0,"pue":1.53,
+            "controller":null,
+            "workload":{"kind":"yahoo_burst","seed":1,"degree":-2.0,"minutes":5.0},
+            "strategy":{"kind":"greedy"},"faults":null}"#,
+    )
+    .unwrap();
+    let out = simulate(&[path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr_of(&out));
+    let stderr = stderr_of(&out);
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(stderr.contains("yahoo_burst degree"), "stderr: {stderr}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn empty_inline_trace_exits_with_physics_code() {
     let path = scratch("emptytrace");
     std::fs::write(

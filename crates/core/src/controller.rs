@@ -12,9 +12,8 @@ use crate::kernel::{search_largest_feasible, step_cycle, NullSink, StepPolicy};
 use crate::{PowerCurve, SprintInfo, SprintStrategy, StrategyContext};
 use dcs_faults::{ActiveFaults, FaultObserver, FaultSchedule, Observation};
 use dcs_power::DataCenterSpec;
-use dcs_thermal::{CoolingPlant, RoomModel, TesTank};
 use dcs_units::{Celsius, Charge, Energy, Power, Ratio, Seconds};
-use dcs_ups::{Chemistry, UpsFleet};
+use dcs_ups::Chemistry;
 use serde::{Deserialize, Serialize};
 
 /// Which phase of the methodology the facility is in (for telemetry).
@@ -640,52 +639,10 @@ impl<'a> SprintController<'a> {
         }
     }
 
-    /// Returns the facility spec.
-    #[must_use]
-    pub fn spec(&self) -> &'a DataCenterSpec {
-        self.facility.spec()
-    }
-
-    /// Returns the configuration.
-    #[must_use]
-    pub fn config(&self) -> &'a ControllerConfig {
-        self.facility.config()
-    }
-
     /// Returns the strategy name.
     #[must_use]
     pub fn strategy_name(&self) -> &str {
         self.policy.strategy_name()
-    }
-
-    /// Returns the current simulation time.
-    #[must_use]
-    pub fn now(&self) -> Seconds {
-        self.facility.now()
-    }
-
-    /// Returns the UPS fleet state.
-    #[must_use]
-    pub fn ups(&self) -> &UpsFleet {
-        self.facility.ups()
-    }
-
-    /// Returns the TES tank state.
-    #[must_use]
-    pub fn tes(&self) -> &TesTank {
-        self.facility.tes()
-    }
-
-    /// Returns the room model state.
-    #[must_use]
-    pub fn room(&self) -> &RoomModel {
-        self.facility.room()
-    }
-
-    /// Returns the breaker topology state.
-    #[must_use]
-    pub fn topology(&self) -> &dcs_power::PowerTopology {
-        self.facility.topology()
     }
 
     /// The reserve-rule caps at the breakers' current thermal state,
@@ -718,12 +675,6 @@ impl<'a> SprintController<'a> {
         self.facility.set_external_load(load);
     }
 
-    /// Returns the current exogenous DC-level load.
-    #[must_use]
-    pub fn external_load(&self) -> Power {
-        self.facility.external_load()
-    }
-
     /// Installs a fault schedule and returns the controller. Each step
     /// looks up the faults active at the current simulation time and
     /// derates the plant models accordingly; [`FaultSchedule::NONE`]
@@ -732,18 +683,6 @@ impl<'a> SprintController<'a> {
     pub fn with_faults(mut self, faults: &'a FaultSchedule) -> SprintController<'a> {
         self.faults = faults;
         self
-    }
-
-    /// Returns the installed fault schedule.
-    #[must_use]
-    pub fn fault_schedule(&self) -> &'a FaultSchedule {
-        self.faults
-    }
-
-    /// Returns the cooling plant state.
-    #[must_use]
-    pub fn plant(&self) -> &CoolingPlant {
-        self.facility.plant()
     }
 
     /// Pre-computes the energy budget a sprint starting under `active`'s
@@ -782,36 +721,6 @@ impl<'a> SprintController<'a> {
             faults: self.faults,
             observer: self.observer.clone(),
         }
-    }
-
-    /// Returns the lifetime additional-energy split
-    /// `(cb_extra, ups, tes_savings)` — the quantities behind the paper's
-    /// "the UPS and TES provide 54 % and 13 % of the additional energy".
-    ///
-    /// All three are *electric* energies: the TES term is the chiller
-    /// power its discharge saved (heat absorbed × the chiller share of the
-    /// cooling unit cost), which is how the paper counts the TES
-    /// contribution at the DC level. The raw heat ledger is available via
-    /// [`SprintController::tes_heat_total`].
-    #[must_use]
-    pub fn energy_split(&self) -> (Energy, Energy, Energy) {
-        self.facility.energy_split()
-    }
-
-    /// Returns the total heat the TES tank absorbed (for energy-conservation
-    /// checks against the tank's state of charge).
-    #[must_use]
-    pub fn tes_heat_total(&self) -> Energy {
-        self.facility.tes_heat_total()
-    }
-
-    /// Computes the sprint's total additional-energy budget (`EB_tot`):
-    /// UPS deliverable energy, plus CB-overload energy under the reserve
-    /// rule (the tighter of the PDU and DC levels), plus the chiller
-    /// savings the TES store can fund.
-    #[must_use]
-    pub fn total_energy_budget(&self) -> Energy {
-        self.facility.total_energy_budget()
     }
 
     /// Advances the controller by one period with the given normalized
@@ -1012,7 +921,7 @@ mod tests {
         // but the facility keeps serving at least the normal capacity.
         assert!(final_served >= 1.0 - 1e-9);
         // And the stores are indeed drained: the UPS is effectively empty.
-        assert!(c.ups().state_of_charge().as_f64() < 0.05);
+        assert!(c.facility().ups().state_of_charge().as_f64() < 0.05);
     }
 
     #[test]
@@ -1021,12 +930,12 @@ mod tests {
         for _ in 0..300 {
             c.step(3.5, Seconds::new(1.0));
         }
-        let soc_after_burst = c.ups().state_of_charge();
+        let soc_after_burst = c.facility().ups().state_of_charge();
         for _ in 0..600 {
             let r = c.step(0.5, Seconds::new(1.0));
             assert!(!r.tripped);
         }
-        assert!(c.ups().state_of_charge() > soc_after_burst);
+        assert!(c.facility().ups().state_of_charge() > soc_after_burst);
     }
 
     #[test]
@@ -1035,7 +944,7 @@ mod tests {
         for _ in 0..900 {
             c.step(3.5, Seconds::new(1.0));
         }
-        let (cb, ups, tes) = c.energy_split();
+        let (cb, ups, tes) = c.facility().energy_split();
         assert!(cb > Energy::ZERO);
         assert!(ups > Energy::ZERO);
         assert!(tes > Energy::ZERO);
@@ -1044,7 +953,7 @@ mod tests {
     #[test]
     fn budget_is_positive_and_finite() {
         let c = small();
-        let eb = c.total_energy_budget();
+        let eb = c.facility().total_energy_budget();
         assert!(eb > Energy::ZERO);
         // The UPS share alone: 800 servers x ~5.7 Wh of deliverable energy.
         assert!(eb > Energy::from_watt_hours(800.0 * 5.0));
@@ -1064,7 +973,7 @@ mod tests {
         assert!(before.cores > 12);
         // A spike the drained UPS cannot absorb (but small enough that
         // normal operation still fits under the breaker rating).
-        c.set_external_load(c.spec().dc_rated() * 0.04);
+        c.set_external_load(c.facility().spec().dc_rated() * 0.04);
         let after = c.step(2.5, Seconds::new(1.0));
         assert!(
             after.cores < before.cores,
@@ -1085,7 +994,7 @@ mod tests {
         // controller must ride it indefinitely without a trip, shedding
         // the sprint as needed.
         let mut c = small();
-        c.set_external_load(c.spec().dc_rated() * 0.05);
+        c.set_external_load(c.facility().spec().dc_rated() * 0.05);
         for _ in 0..1800 {
             let r = c.step(3.0, Seconds::new(1.0));
             assert!(!r.tripped, "tripped at {}", r.time);

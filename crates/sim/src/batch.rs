@@ -31,13 +31,12 @@
 //!    every clone instead of once per lane.
 //!
 //! All three preserve bit-identical [`SimSummary`] output versus N
-//! independent `run_with_options` calls — including under random
+//! independent `run_summary_with_faults` calls — including under random
 //! [`FaultSchedule`]s — which the equivalence property suite and
 //! `perf_report` enforce. The runner is specific to constant-bound lanes:
 //! stateful strategies would observe the shared prefix differently and are
 //! rejected by construction (only `FixedBound` lanes are ever built here).
 
-use crate::error::SimError;
 use crate::scenario::{Scenario, SimSummary};
 use crate::simd::{fold_span_group, record_delta, F64x4};
 use crate::sink::SummaryFold;
@@ -143,7 +142,11 @@ fn nominal_observation(demand: f64) -> Observation {
 }
 
 fn summary_of(ctrl: &SprintController<'_>, fold: &SummaryFold, dt: Seconds) -> SimSummary {
-    fold.summarize(ctrl.strategy_name().to_owned(), dt, ctrl.energy_split())
+    fold.summarize(
+        ctrl.strategy_name().to_owned(),
+        dt,
+        ctrl.facility().energy_split(),
+    )
 }
 
 /// Conservative certificate that *every* remaining step of a
@@ -160,26 +163,26 @@ fn summary_of(ctrl: &SprintController<'_>, fold: &SummaryFold, dt: Seconds) -> S
 /// tripped breaker zeroes its cap and fails the check, which safely forces
 /// the live-step fallback.
 fn fold_safe(ctrl: &mut SprintController<'_>) -> bool {
-    let spec = ctrl.spec();
+    let spec = ctrl.facility().spec();
     let server = spec.server();
-    let plant = ctrl.plant();
+    let plant = ctrl.facility().plant();
     let peak_normal_it = spec.peak_normal_it_power();
     if plant.design_capacity() < peak_normal_it {
         return false;
     }
     let worst_cooling = plant.electric_power(plant.design_capacity(), Power::ZERO);
     let caps = ctrl.reserve_caps();
-    let dc_it_budget = (caps.dc_total - worst_cooling - ctrl.external_load()).max_zero();
+    let dc_it_budget = (caps.dc_total - worst_cooling - ctrl.facility().external_load()).max_zero();
     let allowed_per_pdu = caps.per_pdu.min(dc_it_budget / spec.pdu_count() as f64);
     let worst_per_pdu = server.peak_normal_power() * spec.servers_per_pdu() as f64;
     if worst_per_pdu > allowed_per_pdu {
         return false;
     }
-    let topo = ctrl.topology();
+    let topo = ctrl.facility().topology();
     if topo.any_pdu_trips_at(worst_per_pdu) {
         return false;
     }
-    let worst_dc = peak_normal_it + worst_cooling + ctrl.external_load();
+    let worst_dc = peak_normal_it + worst_cooling + ctrl.facility().external_load();
     topo.dc_breaker().trip_time_at(worst_dc).is_never()
 }
 
@@ -388,25 +391,6 @@ impl<'a> LaneBlock<'a> {
     fn summary(&self, slot: usize, dt: Seconds) -> SimSummary {
         summary_of(&self.ctrls[slot], &self.bank.fold_of(slot), dt)
     }
-}
-
-/// Fallible [`run_bound_batch`]: a bound below 1 or a malformed fault
-/// schedule returns a typed [`SimError`] instead of panicking.
-pub fn try_run_bound_batch(
-    scenario: &Scenario,
-    bounds: &[Ratio],
-    faults: &FaultSchedule,
-) -> Result<BatchOutcome, SimError> {
-    faults.validate().map_err(SimError::faults)?;
-    for (i, &bound) in bounds.iter().enumerate() {
-        if bound < Ratio::ONE {
-            return Err(SimError::config(format!(
-                "lane {i}: bound {} is below 1",
-                bound.as_f64()
-            )));
-        }
-    }
-    Ok(run_bound_batch(scenario, bounds, faults))
 }
 
 /// Runs one `FixedBound` lane per candidate bound through a single pass

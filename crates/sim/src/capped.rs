@@ -8,7 +8,7 @@
 //! quantifies that contrast: it serves each step with the most cores that
 //! fit under the rated PDU and DC limits — no CB overload, no UPS, no TES.
 //!
-//! Since the step-kernel refactor the baseline is a [`CappedPolicy`] over
+//! Since the step-kernel refactor the baseline is a `CappedPolicy` over
 //! the shared [`FacilityState`]: the policy picks the largest core count
 //! within the ratings (by binary search — feasibility is monotone in the
 //! count), and the kernel runs the same plant physics as every other
@@ -32,7 +32,7 @@ use dcs_units::{Energy, Power, Ratio};
 /// so nothing ever trips — but burst performance is capped at whatever
 /// the NEC headroom allows.
 #[derive(Debug, Clone)]
-pub struct CappedPolicy {
+pub(crate) struct CappedPolicy {
     pdu_budget_per_server: Power,
     dc_rated: Power,
 }
@@ -122,7 +122,7 @@ impl<'a> StepPolicy<FacilityState<'a>> for CappedPolicy {
 
 /// Simulates a DVFS-style power-capped facility: every step activates the
 /// most cores whose IT-plus-cooling power fits *within the ratings* of
-/// both breaker levels (see [`CappedPolicy`]).
+/// both breaker levels.
 #[must_use]
 pub fn run_power_capped(scenario: &Scenario) -> SimResult {
     let mut facility = FacilityState::new(scenario.spec(), scenario.config());

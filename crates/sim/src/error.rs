@@ -50,10 +50,9 @@ impl SimErrorClass {
 
 /// A typed simulation-layer error.
 ///
-/// Constructed by the fallible `try_*` entry points ([`crate::try_run`],
-/// [`crate::try_run_bound_batch`], the resumable Oracle search and table
-/// builder) and by the supervised executor when an item exhausts its
-/// retry budget.
+/// Constructed by the fallible entry points (the resumable Oracle search
+/// and table builder, the checkpoint store) and by the supervised
+/// executor when an item exhausts its retry budget.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// A scenario, grid, or CLI configuration was malformed.

@@ -16,11 +16,13 @@
 //!   exceeds the rated limits (and never exceeds the NEC headroom's modest
 //!   boost either);
 //! * [`oracle_search`] — the Oracle strategy: a pruned search over
-//!   constant sprinting-degree bounds (Fig. 9/10's "O" bars), with
-//!   [`oracle_search_exhaustive`] as the historical full-grid fallback;
-//! * [`run_summary`] / [`Telemetry::Aggregate`] — the lean-telemetry fast
-//!   path: the identical controller-step sequence without materializing
-//!   per-step records, for search loops that only consume aggregates;
+//!   constant sprinting-degree bounds (Fig. 9/10's "O" bars);
+//!   [`oracle_search_stats`] takes an explicit fault schedule and
+//!   [`OracleMode`] (the historical full-grid scan is
+//!   [`OracleMode::Exhaustive`]) and also returns the batch counters;
+//! * [`run_summary_with_faults`] — the lean-telemetry fast path: the
+//!   identical controller-step sequence without materializing per-step
+//!   records, for search loops that only consume aggregates;
 //! * [`build_upper_bound_table`] — the Oracle-built table the Prediction
 //!   strategy consumes (§V-A);
 //! * [`run_bound_batch`] — the batched multi-lane engine: one pass over
@@ -42,8 +44,8 @@
 //!   snapshots of completed lanes/cells so a killed provisioning sweep
 //!   resumes from its last snapshot with bit-identical results;
 //! * [`SimError`] — the typed error taxonomy (config / I/O / physics /
-//!   harness) behind the fallible `try_*` entry points and the bench
-//!   binaries' distinct exit codes.
+//!   harness) behind the resumable searches, the supervised executor, and
+//!   the bench binaries' distinct exit codes.
 //!
 //! # Examples
 //!
@@ -81,24 +83,21 @@ mod sweep;
 mod table_builder;
 mod uncontrolled;
 
-pub use batch::{run_bound_batch, try_run_bound_batch, BatchOutcome, BatchStats};
-pub use capped::{run_power_capped, CappedPolicy};
+pub use batch::{run_bound_batch, BatchOutcome, BatchStats};
+pub use capped::run_power_capped;
 pub use checkpoint::{
     fingerprint_of, fnv1a64, CheckpointStore, LoadedSnapshot, SkippedSnapshot, CHECKPOINT_SCHEMA,
 };
 pub use error::{SimError, SimErrorClass};
 pub use oracle::{
-    degree_grid, oracle_checkpoint_store, oracle_search, oracle_search_exhaustive,
-    oracle_search_resumable, oracle_search_stats, oracle_search_unbatched, oracle_search_with,
-    OracleMode, OracleOutcome,
+    degree_grid, oracle_checkpoint_store, oracle_search, oracle_search_resumable,
+    oracle_search_stats, oracle_search_unbatched, OracleMode, OracleOutcome,
 };
 pub use runner::{
-    run, run_no_sprint, run_no_sprint_with_faults, run_summary, run_summary_with_faults,
-    run_with_faults, run_with_options, try_run, try_run_summary, try_run_with_faults,
-    try_run_with_options, RunOptions, SimOutput, Telemetry,
+    run, run_no_sprint, run_no_sprint_with_faults, run_summary_with_faults, run_with_faults,
 };
 pub use scenario::{Scenario, SimResult, SimSummary};
-pub use sink::{RecordSink, SummaryFold};
+pub use sink::RecordSink;
 pub use supervisor::{
     parallel_map_supervised, FailureCause, RetryPolicy, Supervisor, SweepFailure, SweepRecovery,
     SweepReport,
@@ -106,10 +105,8 @@ pub use supervisor::{
 pub use sweep::{machine_parallelism, parallel_map, with_worker_budget};
 pub use table_builder::{
     build_upper_bound_table, build_upper_bound_table_resumable, build_upper_bound_table_stats,
-    build_upper_bound_table_unbatched, build_upper_bound_table_with, table_checkpoint_store,
-    TableBuildStats,
+    build_upper_bound_table_unbatched, table_checkpoint_store, TableBuildStats,
 };
 pub use uncontrolled::{
-    run_uncontrolled, UncontrolledMode, UncontrolledPolicy, UncontrolledRecord, UncontrolledResult,
-    UncontrolledSink,
+    run_uncontrolled, UncontrolledMode, UncontrolledRecord, UncontrolledResult,
 };

@@ -31,7 +31,7 @@ pub enum OracleMode {
     /// Prune the grid before running: bounds too loose to ever bind are
     /// collapsed into one representative, and the remaining profile —
     /// empirically unimodal in the bound — is scanned coarse-to-fine with
-    /// lean ([`crate::Telemetry::Aggregate`]) runs. Produces the same
+    /// lean ([`crate::run_summary_with_faults`]) runs. Produces the same
     /// `best_bound` as [`OracleMode::Exhaustive`] whenever the profile is
     /// unimodal (plateaus included), at a fraction of the simulated work.
     #[default]
@@ -68,41 +68,17 @@ pub fn degree_grid(spec: &dcs_power::DataCenterSpec) -> Vec<Ratio> {
 /// Panics if the degree grid is empty (impossible for a valid spec).
 #[must_use]
 pub fn oracle_search(scenario: &Scenario) -> OracleOutcome {
-    oracle_search_with(scenario, &FaultSchedule::NONE, OracleMode::Pruned)
+    oracle_search_stats(scenario, &FaultSchedule::NONE, OracleMode::Pruned).0
 }
 
-/// [`oracle_search`] with the historical exhaustive scan: every grid point
-/// evaluated.
-///
-/// # Panics
-///
-/// Panics if the degree grid is empty (impossible for a valid spec).
-#[must_use]
-pub fn oracle_search_exhaustive(scenario: &Scenario) -> OracleOutcome {
-    oracle_search_with(scenario, &FaultSchedule::NONE, OracleMode::Exhaustive)
-}
-
-/// Runs the Oracle search with an explicit fault schedule and search mode.
+/// Runs the Oracle search with an explicit fault schedule and search mode,
+/// returning the outcome plus the batch work counters (lane-steps run
+/// live versus folded by early retirement).
 ///
 /// Both modes submit their candidate bounds as one
 /// [`run_bound_batch`] per evaluation wave — a single pass over the trace
 /// advances every lane — and finish with one full-telemetry run of the
 /// winner. Results are bit-identical to [`oracle_search_unbatched`].
-///
-/// # Panics
-///
-/// Panics if the degree grid is empty (impossible for a valid spec).
-#[must_use]
-pub fn oracle_search_with(
-    scenario: &Scenario,
-    faults: &FaultSchedule,
-    mode: OracleMode,
-) -> OracleOutcome {
-    oracle_search_stats(scenario, faults, mode).0
-}
-
-/// [`oracle_search_with`] plus the batch work counters (lane-steps run
-/// live versus folded by early retirement).
 ///
 /// # Panics
 ///
@@ -188,7 +164,7 @@ pub fn oracle_checkpoint_store(
 /// completed value is written atomically after each chunk. Killed at any
 /// snapshot boundary (or resumed from a prior run's directory via the same
 /// `store`), the search continues from the last intact snapshot and
-/// returns an [`OracleOutcome`] bit-identical to [`oracle_search_with`].
+/// returns an [`OracleOutcome`] bit-identical to [`oracle_search_stats`].
 ///
 /// The returned [`BatchStats`] count the lane-steps *this* execution
 /// path ran (chunked waves, minus whatever a resume restored) — work
@@ -519,8 +495,8 @@ pub(crate) fn scan_plan(
 /// bound and the evaluated `(bound, average performance)` pairs, without
 /// the final full-telemetry run (the table builder wants only the bound).
 ///
-/// Evaluations use [`crate::Telemetry::Aggregate`] runs, whose average
-/// performance is bit-identical to a full run's.
+/// Evaluations use lean [`crate::run_summary_with_faults`] runs, whose
+/// average performance is bit-identical to a full run's.
 pub(crate) fn pruned_scan(scenario: &Scenario, faults: &FaultSchedule) -> (Ratio, Vec<(f64, f64)>) {
     let plan = scan_plan(scenario.spec(), scenario.trace(), faults);
     let mut values: Vec<Option<f64>> = (0..plan.len()).map(|_| None).collect();
@@ -633,7 +609,12 @@ mod tests {
 
     #[test]
     fn exhaustive_tried_covers_whole_grid() {
-        let outcome = oracle_search_exhaustive(&scenario(2.6, 1.0));
+        let outcome = oracle_search_stats(
+            &scenario(2.6, 1.0),
+            &FaultSchedule::NONE,
+            OracleMode::Exhaustive,
+        )
+        .0;
         assert_eq!(outcome.tried.len(), 37);
         assert_eq!(outcome.best.strategy, "Oracle");
     }
@@ -643,7 +624,8 @@ mod tests {
         for (degree, minutes) in [(2.6, 1.0), (3.2, 15.0), (4.0, 30.0)] {
             let s = scenario(degree, minutes);
             let pruned = oracle_search(&s);
-            let exhaustive = oracle_search_exhaustive(&s);
+            let exhaustive =
+                oracle_search_stats(&s, &FaultSchedule::NONE, OracleMode::Exhaustive).0;
             assert_eq!(
                 pruned.best_bound, exhaustive.best_bound,
                 "best bound diverged at ({degree}, {minutes})"
@@ -665,13 +647,13 @@ mod tests {
     fn batched_search_matches_unbatched_reference() {
         let s = scenario(3.0, 5.0);
         for mode in [OracleMode::Pruned, OracleMode::Exhaustive] {
-            let batched = oracle_search_with(&s, &FaultSchedule::NONE, mode);
+            let batched = oracle_search_stats(&s, &FaultSchedule::NONE, mode).0;
             let reference = oracle_search_unbatched(&s, &FaultSchedule::NONE, mode);
             assert_eq!(batched, reference, "mode {mode:?}");
         }
         let faults = FaultSchedule::random(11, s.trace().duration());
         for mode in [OracleMode::Pruned, OracleMode::Exhaustive] {
-            let batched = oracle_search_with(&s, &faults, mode);
+            let batched = oracle_search_stats(&s, &faults, mode).0;
             let reference = oracle_search_unbatched(&s, &faults, mode);
             assert_eq!(batched, reference, "faulted mode {mode:?}");
         }

@@ -1,65 +1,10 @@
 //! Scenario execution.
 
-use crate::error::SimError;
 use crate::sink::{RecordSink, SummaryFold};
 use crate::{Scenario, SimResult, SimSummary};
-use dcs_core::{FixedBound, SprintController, SprintStrategy};
+use dcs_core::{FacilityState, FixedBound, SprintController, SprintStrategy, StepSink};
 use dcs_faults::FaultSchedule;
-use dcs_units::Ratio;
-use serde::{Deserialize, Serialize};
-
-/// How much telemetry a run materializes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Telemetry {
-    /// Keep the per-step [`dcs_core::StepRecord`] vector (the default;
-    /// bit-identical to the historical behavior of [`run`]).
-    #[default]
-    Full,
-    /// Skip per-step records and fold only what the searches consume —
-    /// admission accounting, the energy split, trip/overheat flags, and
-    /// the peak degree — into a [`SimSummary`]. The controller-step
-    /// sequence is identical to [`Telemetry::Full`]; only the recording
-    /// differs.
-    Aggregate,
-}
-
-/// Options for [`run_with_options`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct RunOptions {
-    /// Telemetry mode.
-    pub telemetry: Telemetry,
-}
-
-/// The outcome of [`run_with_options`]: full telemetry or a lean summary,
-/// depending on [`RunOptions::telemetry`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimOutput {
-    /// A [`Telemetry::Full`] run.
-    Full(SimResult),
-    /// A [`Telemetry::Aggregate`] run.
-    Aggregate(SimSummary),
-}
-
-impl SimOutput {
-    /// Collapses either variant into a [`SimSummary`]. Exact in both cases:
-    /// an aggregate run folds the same per-step values a full run records.
-    #[must_use]
-    pub fn into_summary(self) -> SimSummary {
-        match self {
-            SimOutput::Full(result) => result.summarize(),
-            SimOutput::Aggregate(summary) => summary,
-        }
-    }
-
-    /// Returns the full result, if this was a [`Telemetry::Full`] run.
-    #[must_use]
-    pub fn into_result(self) -> Option<SimResult> {
-        match self {
-            SimOutput::Full(result) => Some(result),
-            SimOutput::Aggregate(_) => None,
-        }
-    }
-}
+use dcs_units::{Energy, Ratio, Seconds};
 
 /// Simulates a scenario under the given strategy.
 ///
@@ -79,137 +24,54 @@ pub fn run_with_faults(
     strategy: Box<dyn SprintStrategy>,
     faults: &FaultSchedule,
 ) -> SimResult {
-    match run_with_options(scenario, strategy, faults, RunOptions::default()) {
-        SimOutput::Full(result) => result,
-        SimOutput::Aggregate(_) => unreachable!("default options request full telemetry"),
+    let mut sink = RecordSink::with_capacity(scenario.trace().len());
+    let (strategy, step, (cb_energy, ups_energy, tes_energy)) =
+        drive(scenario, strategy, faults, &mut sink);
+    SimResult {
+        strategy,
+        step,
+        records: sink.records,
+        admission: sink.admission,
+        cb_energy,
+        ups_energy,
+        tes_energy,
     }
 }
 
-/// Simulates a scenario in [`Telemetry::Aggregate`] mode: no per-step
-/// record vector, just the lean [`SimSummary`] the searches consume.
-#[must_use]
-pub fn run_summary(scenario: &Scenario, strategy: Box<dyn SprintStrategy>) -> SimSummary {
-    run_summary_with_faults(scenario, strategy, &FaultSchedule::NONE)
-}
-
-/// [`run_summary`] with an injected fault schedule.
+/// [`run_with_faults`] without per-step records: the identical
+/// controller-step sequence folded into the lean [`SimSummary`] the
+/// searches consume. Equal to `run_with_faults(..).summarize()`.
 #[must_use]
 pub fn run_summary_with_faults(
     scenario: &Scenario,
     strategy: Box<dyn SprintStrategy>,
     faults: &FaultSchedule,
 ) -> SimSummary {
-    run_with_options(
-        scenario,
-        strategy,
-        faults,
-        RunOptions {
-            telemetry: Telemetry::Aggregate,
-        },
-    )
-    .into_summary()
+    let mut fold = SummaryFold::new();
+    let (strategy, step, energy_split) = drive(scenario, strategy, faults, &mut fold);
+    fold.summarize(strategy, step, energy_split)
 }
 
-/// Simulates a scenario with explicit run options.
-///
-/// Both telemetry modes drive the identical kernel-step sequence and
-/// differ only in the [`dcs_core::StepSink`] the steps feed — a
-/// [`RecordSink`] for full telemetry, a [`SummaryFold`] for the lean
-/// aggregates. The borrowed spec/config/faults are never cloned, so
-/// search loops (the Oracle, the table builder) pay no per-run setup
-/// beyond plant construction.
-#[must_use]
-pub fn run_with_options(
-    scenario: &Scenario,
+/// The one step loop behind every run: steps a controller over the trace,
+/// handing each finished step to `sink` — a [`RecordSink`] for full
+/// telemetry, a [`SummaryFold`] for the lean aggregates. The borrowed
+/// spec/config/faults are never cloned, so search loops pay no per-run
+/// setup beyond plant construction. Returns the strategy name, the step
+/// length, and the controller's additional-energy split.
+fn drive<'a, K: StepSink<FacilityState<'a>>>(
+    scenario: &'a Scenario,
     strategy: Box<dyn SprintStrategy>,
-    faults: &FaultSchedule,
-    options: RunOptions,
-) -> SimOutput {
+    faults: &'a FaultSchedule,
+    sink: &mut K,
+) -> (String, Seconds, (Energy, Energy, Energy)) {
     let mut controller =
         SprintController::new(scenario.spec(), scenario.config(), strategy).with_faults(faults);
-    let strategy_name = controller.strategy_name().to_owned();
     let dt = scenario.trace().step();
-    match options.telemetry {
-        Telemetry::Full => {
-            let mut sink = RecordSink::with_capacity(scenario.trace().len());
-            for (_, demand) in scenario.trace().iter() {
-                controller.step_with_sink(demand, dt, &mut sink);
-            }
-            let (cb_energy, ups_energy, tes_energy) = controller.energy_split();
-            SimOutput::Full(SimResult {
-                strategy: strategy_name,
-                step: dt,
-                records: sink.records,
-                admission: sink.admission,
-                cb_energy,
-                ups_energy,
-                tes_energy,
-            })
-        }
-        Telemetry::Aggregate => {
-            let mut fold = SummaryFold::new();
-            for (_, demand) in scenario.trace().iter() {
-                controller.step_with_sink(demand, dt, &mut fold);
-            }
-            SimOutput::Aggregate(fold.summarize(strategy_name, dt, controller.energy_split()))
-        }
+    for (_, demand) in scenario.trace().iter() {
+        controller.step_with_sink(demand, dt, sink);
     }
-}
-
-/// Fallible [`run`]: returns a typed error instead of panicking on bad
-/// inputs. With no fault schedule in play, only scenario-level problems
-/// can surface.
-pub fn try_run(
-    scenario: &Scenario,
-    strategy: Box<dyn SprintStrategy>,
-) -> Result<SimResult, SimError> {
-    try_run_with_faults(scenario, strategy, &FaultSchedule::NONE)
-}
-
-/// Fallible [`run_with_faults`]: a malformed fault schedule (inverted
-/// window, out-of-range severity) returns [`SimError::Faults`] instead of
-/// panicking inside the plant models.
-pub fn try_run_with_faults(
-    scenario: &Scenario,
-    strategy: Box<dyn SprintStrategy>,
-    faults: &FaultSchedule,
-) -> Result<SimResult, SimError> {
-    try_run_with_options(scenario, strategy, faults, RunOptions::default()).map(|out| match out {
-        SimOutput::Full(result) => result,
-        SimOutput::Aggregate(_) => unreachable!("default options request full telemetry"),
-    })
-}
-
-/// Fallible [`run_summary_with_faults`].
-pub fn try_run_summary(
-    scenario: &Scenario,
-    strategy: Box<dyn SprintStrategy>,
-    faults: &FaultSchedule,
-) -> Result<SimSummary, SimError> {
-    try_run_with_options(
-        scenario,
-        strategy,
-        faults,
-        RunOptions {
-            telemetry: Telemetry::Aggregate,
-        },
-    )
-    .map(SimOutput::into_summary)
-}
-
-/// Fallible [`run_with_options`]: validates inputs up front and returns a
-/// typed [`SimError`] instead of panicking.
-pub fn try_run_with_options(
-    scenario: &Scenario,
-    strategy: Box<dyn SprintStrategy>,
-    faults: &FaultSchedule,
-    options: RunOptions,
-) -> Result<SimOutput, SimError> {
-    faults.validate().map_err(SimError::faults)?;
-    if scenario.trace().is_empty() {
-        return Err(SimError::config("scenario trace has no samples"));
-    }
-    Ok(run_with_options(scenario, strategy, faults, options))
+    let name = controller.strategy_name().to_owned();
+    (name, dt, controller.facility().energy_split())
 }
 
 /// Simulates the no-sprint baseline: the facility never activates extra
@@ -290,29 +152,7 @@ mod tests {
     fn aggregate_run_equals_summarized_full_run() {
         let s = scenario(3.2, 15.0);
         let full = run(&s, Box::new(Greedy));
-        let lean = run_summary(&s, Box::new(Greedy));
+        let lean = run_summary_with_faults(&s, Box::new(Greedy), &FaultSchedule::NONE);
         assert_eq!(lean, full.summarize());
-    }
-
-    #[test]
-    fn sim_output_accessors() {
-        let s = scenario(3.0, 1.0);
-        let out = run_with_options(
-            &s,
-            Box::new(Greedy),
-            &FaultSchedule::NONE,
-            RunOptions::default(),
-        );
-        assert!(out.clone().into_result().is_some());
-        let lean = run_with_options(
-            &s,
-            Box::new(Greedy),
-            &FaultSchedule::NONE,
-            RunOptions {
-                telemetry: Telemetry::Aggregate,
-            },
-        );
-        assert!(lean.clone().into_result().is_none());
-        assert_eq!(lean.into_summary(), out.into_summary());
     }
 }

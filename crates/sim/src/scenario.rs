@@ -229,11 +229,11 @@ impl SimResult {
             .fold(0.0, f64::max)
     }
 
-    /// Collapses the full-telemetry result into the lean [`SimSummary`] an
-    /// [`Aggregate`](crate::Telemetry::Aggregate)-mode run would have
-    /// produced directly. The equivalence is exact (not approximate): both
-    /// paths drive the identical controller-step sequence and fold the same
-    /// per-step values.
+    /// Collapses the full-telemetry result into the lean [`SimSummary`]
+    /// [`crate::run_summary_with_faults`] would have produced directly. The
+    /// equivalence is exact (not approximate): both paths drive the
+    /// identical controller-step sequence and fold the same per-step
+    /// values.
     #[must_use]
     pub fn summarize(&self) -> SimSummary {
         SimSummary {
@@ -254,9 +254,9 @@ impl SimResult {
 /// The lean outcome of one simulated run: everything the searches consume,
 /// with no per-step record vector.
 ///
-/// Produced directly by [`Aggregate`](crate::Telemetry::Aggregate)-mode
-/// runs (which never materialize [`StepRecord`]s) or derived from a full
-/// result via [`SimResult::summarize`]; the two are exactly equal.
+/// Produced directly by [`crate::run_summary_with_faults`] (which never
+/// materializes [`StepRecord`]s) or derived from a full result via
+/// [`SimResult::summarize`]; the two are exactly equal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimSummary {
     /// Name of the strategy that produced this run.

@@ -5,10 +5,10 @@
 //! the repository's three telemetry shapes:
 //!
 //! * [`RecordSink`] — the full per-step [`StepRecord`] vector plus
-//!   admission accounting (`Telemetry::Full`);
+//!   admission accounting ([`crate::run_with_faults`]);
 //! * [`SummaryFold`] — the lean accumulation the searches consume
-//!   (`Telemetry::Aggregate`), also used as the batched lanes' per-lane
-//!   tap and as the arithmetic fold target for retired lanes;
+//!   ([`crate::run_summary_with_faults`]), also used as the batched lanes'
+//!   per-lane tap and as the arithmetic fold target for retired lanes;
 //! * `NullSink` (re-exported from `dcs_core`) — keep nothing; drivers
 //!   consume each step's returned record directly.
 //!
@@ -58,18 +58,12 @@ impl<'a> StepSink<FacilityState<'a>> for RecordSink {
 /// lane keeps folding arithmetically via [`SummaryFold::fold_span`] after
 /// its controller is frozen.
 #[derive(Debug, Clone)]
-pub struct SummaryFold {
+pub(crate) struct SummaryFold {
     admission: AdmissionLog,
     steps: usize,
     tripped: bool,
     overheated: bool,
     peak_degree: f64,
-}
-
-impl Default for SummaryFold {
-    fn default() -> SummaryFold {
-        SummaryFold::new()
-    }
 }
 
 impl SummaryFold {

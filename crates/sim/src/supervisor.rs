@@ -276,11 +276,7 @@ impl Supervisor {
             };
         }
         let budget = BudgetGuard::current();
-        let cap = budget.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+        let cap = budget.unwrap_or_else(crate::machine_parallelism);
         let workers = cap.min(len).max(1);
         let child_budget = (cap / workers).max(1);
 

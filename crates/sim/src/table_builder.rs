@@ -52,8 +52,8 @@ impl TableBuildStats {
 ///
 /// # Panics
 ///
-/// Panics if either axis is empty or not strictly ascending, or if a
-/// degree is not greater than 1.
+/// Panics if either axis is empty, non-finite or not strictly ascending,
+/// or if a degree is not greater than 1.
 ///
 /// # Examples
 ///
@@ -78,10 +78,11 @@ pub fn build_upper_bound_table(
     durations_min: &[f64],
     degrees: &[f64],
 ) -> UpperBoundTable {
-    build_upper_bound_table_with(spec, config, durations_min, degrees, OracleMode::Pruned)
+    build_upper_bound_table_stats(spec, config, durations_min, degrees, OracleMode::Pruned).0
 }
 
-/// [`build_upper_bound_table`] with an explicit [`OracleMode`].
+/// [`build_upper_bound_table`] with an explicit [`OracleMode`], plus the
+/// build's work counters.
 ///
 /// The pruned mode skips the Oracle's final full-telemetry run per cell —
 /// the table wants only the bound — so a cell costs exactly the pruned
@@ -92,25 +93,8 @@ pub fn build_upper_bound_table(
 ///
 /// # Panics
 ///
-/// Panics if either axis is empty or not strictly ascending, or if a
-/// degree is not greater than 1.
-#[must_use]
-pub fn build_upper_bound_table_with(
-    spec: &DataCenterSpec,
-    config: &ControllerConfig,
-    durations_min: &[f64],
-    degrees: &[f64],
-    mode: OracleMode,
-) -> UpperBoundTable {
-    build_upper_bound_table_stats(spec, config, durations_min, degrees, mode).0
-}
-
-/// [`build_upper_bound_table_with`] plus the build's work counters.
-///
-/// # Panics
-///
-/// Panics if either axis is empty or not strictly ascending, or if a
-/// degree is not greater than 1.
+/// Panics if either axis is empty, non-finite or not strictly ascending,
+/// or if a degree is not greater than 1.
 #[must_use]
 pub fn build_upper_bound_table_stats(
     spec: &DataCenterSpec,
@@ -119,7 +103,9 @@ pub fn build_upper_bound_table_stats(
     degrees: &[f64],
     mode: OracleMode,
 ) -> (UpperBoundTable, TableBuildStats) {
-    validate_axes(durations_min, degrees);
+    if let Err(e) = validate_axes(durations_min, degrees) {
+        panic!("{e}");
+    }
     let built = match mode {
         OracleMode::Pruned => crate::parallel_map(degrees, |&degree| {
             pruned_column(spec, config, durations_min, degree)
@@ -199,14 +185,17 @@ pub fn table_checkpoint_store(
 }
 
 /// [`build_upper_bound_table_stats`] with supervised, checkpointed
-/// execution: columns (one per degree) are built in waves sized to the
-/// available parallelism, each wave runs under the supervisor's panic
+/// execution: columns (one per degree) are built in waves sized to
+/// [`crate::machine_parallelism`], each wave runs under the supervisor's panic
 /// isolation and retry policy, and a snapshot of every completed column
 /// is written atomically after each wave. Killed at any snapshot boundary
 /// (or resumed via the same `store`), the build continues from the last
 /// intact snapshot and produces the identical table cell-for-cell —
 /// column results are deterministic, and stats are merged in ascending
 /// column order exactly as the plain build does.
+///
+/// Invalid axes return [`SimError::Config`] before any column is built or
+/// any snapshot written.
 pub fn build_upper_bound_table_resumable(
     spec: &DataCenterSpec,
     config: &ControllerConfig,
@@ -216,7 +205,7 @@ pub fn build_upper_bound_table_resumable(
     supervisor: &Supervisor,
     store: &mut CheckpointStore,
 ) -> Result<(UpperBoundTable, TableBuildStats), SimError> {
-    try_validate_axes(durations_min, degrees)?;
+    validate_axes(durations_min, degrees)?;
     let mut columns: Vec<Option<(Vec<Ratio>, TableBuildStats)>> =
         (0..degrees.len()).map(|_| None).collect();
     if let Some(loaded) = store.load_latest::<TableCkpt>()? {
@@ -237,9 +226,7 @@ pub fn build_upper_bound_table_resumable(
         }
     }
 
-    let wave_size = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let wave_size = crate::machine_parallelism();
     loop {
         let missing: Vec<usize> = columns
             .iter()
@@ -308,10 +295,19 @@ pub fn build_upper_bound_table_resumable(
     Ok((table, stats))
 }
 
-/// Fallible [`validate_axes`], with messages matching the panicking path.
-fn try_validate_axes(durations_min: &[f64], degrees: &[f64]) -> Result<(), SimError> {
+/// Checks the table axes before any column is built (and before a
+/// resumable build writes its first snapshot): both non-empty, finite and
+/// strictly ascending, and every degree above 1.
+fn validate_axes(durations_min: &[f64], degrees: &[f64]) -> Result<(), SimError> {
     if durations_min.is_empty() || degrees.is_empty() {
         return Err(SimError::config("axes must be non-empty"));
+    }
+    for (name, axis) in [("durations", durations_min), ("degrees", degrees)] {
+        if !axis.iter().all(|x| x.is_finite()) || !axis.windows(2).all(|w| w[0] < w[1]) {
+            return Err(SimError::config(format!(
+                "{name} axis must be finite and strictly ascending"
+            )));
+        }
     }
     if !degrees.iter().all(|&d| d > 1.0) {
         return Err(SimError::config("burst degrees must exceed 1"));
@@ -326,8 +322,8 @@ fn try_validate_axes(durations_min: &[f64], degrees: &[f64]) -> Result<(), SimEr
 ///
 /// # Panics
 ///
-/// Panics if either axis is empty or not strictly ascending, or if a
-/// degree is not greater than 1.
+/// Panics if either axis is empty, non-finite or not strictly ascending,
+/// or if a degree is not greater than 1.
 #[must_use]
 pub fn build_upper_bound_table_unbatched(
     spec: &DataCenterSpec,
@@ -336,7 +332,9 @@ pub fn build_upper_bound_table_unbatched(
     degrees: &[f64],
     mode: OracleMode,
 ) -> UpperBoundTable {
-    validate_axes(durations_min, degrees);
+    if let Err(e) = validate_axes(durations_min, degrees) {
+        panic!("{e}");
+    }
     let cells: Vec<(f64, f64)> = durations_min
         .iter()
         .flat_map(|&l| degrees.iter().map(move |&b| (l, b)))
@@ -354,17 +352,6 @@ pub fn build_upper_bound_table_unbatched(
     });
     UpperBoundTable::new(durations_min.to_vec(), degrees.to_vec(), bounds)
         .expect("axes validated above")
-}
-
-fn validate_axes(durations_min: &[f64], degrees: &[f64]) {
-    assert!(
-        !durations_min.is_empty() && !degrees.is_empty(),
-        "axes must be non-empty"
-    );
-    assert!(
-        degrees.iter().all(|&d| d > 1.0),
-        "burst degrees must exceed 1"
-    );
 }
 
 /// One pruned column: the per-cell pruned scans for every duration at one
@@ -584,14 +571,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "durations axis must be finite and strictly ascending")]
+    fn descending_durations_panic_before_any_column() {
+        let spec = DataCenterSpec::paper_default().with_scale(1, 200);
+        let _ = build_upper_bound_table_stats(
+            &spec,
+            &ControllerConfig::default(),
+            &[15.0, 1.0],
+            &[3.2],
+            OracleMode::Pruned,
+        );
+    }
+
+    #[test]
     fn pruned_table_matches_exhaustive() {
         let spec = DataCenterSpec::paper_default().with_scale(1, 200);
         let config = ControllerConfig::default();
         let durations = [1.0, 15.0];
         let degrees = [2.0, 3.2];
-        let pruned =
-            build_upper_bound_table_with(&spec, &config, &durations, &degrees, OracleMode::Pruned);
-        let exhaustive = build_upper_bound_table_with(
+        let (pruned, _) =
+            build_upper_bound_table_stats(&spec, &config, &durations, &degrees, OracleMode::Pruned);
+        let (exhaustive, _) = build_upper_bound_table_stats(
             &spec,
             &config,
             &durations,

@@ -1,7 +1,7 @@
 //! The uncontrolled chip-level sprinting baseline (§VII-A, Fig. 8a).
 //!
 //! Since the step-kernel refactor the baseline is an
-//! [`UncontrolledPolicy`] over the shared [`FacilityState`]: the policy
+//! `UncontrolledPolicy` over the shared [`FacilityState`]: the policy
 //! greedily activates whatever cores demand asks for (optionally watching
 //! the breakers to abandon the sprint just in time), and the kernel runs
 //! the same breaker physics as every other engine. Trip timing, core
@@ -71,7 +71,7 @@ impl UncontrolledResult {
 /// its design capacity (chip-level sprinting cannot raise facility
 /// cooling).
 #[derive(Debug, Clone)]
-pub struct UncontrolledPolicy {
+pub(crate) struct UncontrolledPolicy {
     mode: UncontrolledMode,
     dark: bool,
     trip: Option<(Seconds, String)>,
@@ -88,18 +88,6 @@ impl UncontrolledPolicy {
             trip: None,
             stopped_at: None,
         }
-    }
-
-    /// When a breaker tripped and its name, if the run blacked out.
-    #[must_use]
-    pub fn trip(&self) -> Option<&(Seconds, String)> {
-        self.trip.as_ref()
-    }
-
-    /// When the sprint was abandoned (StopBeforeTrip), if it was.
-    #[must_use]
-    pub fn stopped_at(&self) -> Option<Seconds> {
-        self.stopped_at
     }
 }
 
@@ -204,7 +192,7 @@ impl<'a> StepPolicy<FacilityState<'a>> for UncontrolledPolicy {
 /// Collects [`UncontrolledRecord`]s and admission accounting from the
 /// kernel's finished steps.
 #[derive(Debug, Clone, Default)]
-pub struct UncontrolledSink {
+pub(crate) struct UncontrolledSink {
     /// The per-step records, in step order.
     pub records: Vec<UncontrolledRecord>,
     /// Served/dropped accounting over the recorded steps.
@@ -235,8 +223,9 @@ impl<'a> StepSink<FacilityState<'a>> for UncontrolledSink {
     }
 }
 
-/// Simulates uncontrolled chip-level sprinting (see
-/// [`UncontrolledPolicy`]).
+/// Simulates uncontrolled chip-level sprinting: every server activates
+/// the cores its demand asks for, with no CB coordination, no UPS
+/// offloading and no TES.
 ///
 /// With the paper's configuration this trips a PDU-level breaker a few
 /// minutes into the MS trace — Fig. 8(a)'s "CB trips here (5 min 20 s)".

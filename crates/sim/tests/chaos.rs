@@ -387,6 +387,37 @@ fn table_resumable_rejects_bad_axes_with_config_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn table_resumable_rejects_descending_axis_before_any_snapshot() {
+    let (spec, config) = table_inputs();
+    let dir = scratch_dir("table-descending");
+    let durations = [5.0, 1.0];
+    let mut store = table_checkpoint_store(
+        &dir,
+        &spec,
+        &config,
+        &durations,
+        &DEGREES,
+        OracleMode::Pruned,
+    )
+    .unwrap();
+    let err = build_upper_bound_table_resumable(
+        &spec,
+        &config,
+        &durations,
+        &DEGREES,
+        OracleMode::Pruned,
+        &Supervisor::new(),
+        &mut store,
+    )
+    .expect_err("descending durations are invalid");
+    assert!(matches!(err, SimError::Config { .. }), "{err:?}");
+    assert!(err.to_string().contains("strictly ascending"), "{err}");
+    assert_eq!(store.saves(), 0, "a snapshot was written before the check");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // --- Randomized soak: chaos + fault schedules, small scale --------------
 
 proptest! {

@@ -6,8 +6,8 @@ use dcs_core::{ControllerConfig, FixedBound, Greedy, Heuristic, SprintStrategy};
 use dcs_faults::{FaultEvent, FaultKind, FaultSchedule};
 use dcs_power::DataCenterSpec;
 use dcs_sim::{
-    oracle_search, oracle_search_exhaustive, oracle_search_with, run_bound_batch,
-    run_summary_with_faults, run_with_faults, OracleMode, Scenario,
+    oracle_search, oracle_search_stats, run_bound_batch, run_summary_with_faults, run_with_faults,
+    OracleMode, Scenario,
 };
 use dcs_units::{Ratio, Seconds};
 use dcs_workload::yahoo_trace;
@@ -58,7 +58,7 @@ fn strategies() -> [StrategyCtor; 3] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A lean ([`dcs_sim::Telemetry::Aggregate`]) run equals the summary of
+    /// A lean ([`dcs_sim::run_summary_with_faults`]) run equals the summary of
     /// a full run *exactly* — same admission accounting, same energy split,
     /// same flags — across strategies and bursty scenarios.
     #[test]
@@ -70,7 +70,7 @@ proptest! {
         let s = scenario(seed, degree, minutes);
         for make in strategies() {
             let full = dcs_sim::run(&s, make());
-            let lean = dcs_sim::run_summary(&s, make());
+            let lean = run_summary_with_faults(&s, make(), &FaultSchedule::NONE);
             prop_assert_eq!(&lean.strategy, &full.strategy);
             prop_assert_eq!(lean, full.summarize());
         }
@@ -81,7 +81,7 @@ proptest! {
     fn lean_run_equals_full_summary_when_quiet(seed in 0u64..64) {
         let s = quiet_scenario(seed);
         let full = dcs_sim::run(&s, Box::new(Greedy));
-        let lean = dcs_sim::run_summary(&s, Box::new(Greedy));
+        let lean = run_summary_with_faults(&s, Box::new(Greedy), &FaultSchedule::NONE);
         prop_assert_eq!(lean, full.summarize());
     }
 
@@ -110,7 +110,7 @@ proptest! {
     ) {
         let s = scenario(seed, degree, minutes);
         let pruned = oracle_search(&s);
-        let exhaustive = oracle_search_exhaustive(&s);
+        let exhaustive = oracle_search_stats(&s, &FaultSchedule::NONE, OracleMode::Exhaustive).0;
         prop_assert_eq!(pruned.best_bound, exhaustive.best_bound);
         prop_assert_eq!(pruned.best, exhaustive.best);
     }
@@ -125,8 +125,8 @@ proptest! {
     ) {
         let s = scenario(seed, degree, 8.0);
         let faults = FaultSchedule::random(fault_seed, s.trace().duration());
-        let pruned = oracle_search_with(&s, &faults, OracleMode::Pruned);
-        let exhaustive = oracle_search_with(&s, &faults, OracleMode::Exhaustive);
+        let pruned = oracle_search_stats(&s, &faults, OracleMode::Pruned).0;
+        let exhaustive = oracle_search_stats(&s, &faults, OracleMode::Exhaustive).0;
         prop_assert_eq!(pruned.best_bound, exhaustive.best_bound);
         prop_assert_eq!(pruned.best, exhaustive.best);
     }
@@ -140,7 +140,7 @@ proptest! {
     ) {
         let s = scenario(seed, degree, 10.0);
         let pruned = oracle_search(&s);
-        let exhaustive = oracle_search_exhaustive(&s);
+        let exhaustive = oracle_search_stats(&s, &FaultSchedule::NONE, OracleMode::Exhaustive).0;
         prop_assert!(pruned.tried.len() <= exhaustive.tried.len());
         for pair in &pruned.tried {
             prop_assert!(

@@ -52,10 +52,10 @@ fn main() {
         assert!(!record.tripped, "a controlled sprint never trips a breaker");
     }
 
-    let (cb, ups, tes) = controller.energy_split();
+    let (cb, ups, tes) = controller.facility().energy_split();
     println!("\nadditional energy drawn:  CB overload {cb},  UPS {ups},  TES heat {tes}");
     println!(
         "UPS state of charge after the burst: {}",
-        controller.ups().state_of_charge()
+        controller.facility().ups().state_of_charge()
     );
 }

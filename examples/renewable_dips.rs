@@ -43,7 +43,7 @@ fn main() {
                 step,
                 record.demand,
                 record.served,
-                controller.ups().status().on_battery,
+                controller.facility().ups().status().on_battery,
                 record.phase
             );
         }
@@ -51,6 +51,6 @@ fn main() {
     println!(
         "\nwith zero headroom the breakers alone cannot even carry a 1.4x burst; \
          the UPS fleet absorbs the difference ({} of charge spent)",
-        controller.ups().discharged_fraction()
+        controller.facility().ups().discharged_fraction()
     );
 }

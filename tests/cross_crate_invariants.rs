@@ -48,12 +48,12 @@ fn ups_energy_accounting_is_consistent() {
         ..ControllerConfig::default()
     };
     let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
-    let full = ctl.ups().deliverable();
+    let full = ctl.facility().ups().deliverable();
     for (_, demand) in ms_trace::paper_default().iter() {
         ctl.step(demand, Seconds::new(1.0));
     }
-    let (_, delivered, _) = ctl.energy_split();
-    let drained = full - ctl.ups().deliverable();
+    let (_, delivered, _) = ctl.facility().energy_split();
+    let drained = full - ctl.facility().ups().deliverable();
     // Delivered energy can never exceed what left the batteries.
     assert!(delivered <= drained + Energy::from_joules(1.0));
     // And the books must be close: everything drained was delivered.
@@ -72,12 +72,12 @@ fn tes_heat_accounting_is_consistent() {
         ..ControllerConfig::default()
     };
     let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
-    let full = ctl.tes().stored();
+    let full = ctl.facility().tes().stored();
     for (_, demand) in ms_trace::paper_default().iter() {
         ctl.step(demand, Seconds::new(1.0));
     }
-    let tes_heat = ctl.tes_heat_total();
-    let drained = full - ctl.tes().stored();
+    let tes_heat = ctl.facility().tes_heat_total();
+    let drained = full - ctl.facility().tes().stored();
     assert!(
         (drained - tes_heat).as_joules().abs() < 1.0,
         "TES drained {drained} vs ledger {tes_heat}"
@@ -111,7 +111,7 @@ fn breakers_never_approach_a_trip() {
     let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
     for (_, demand) in ms_trace::paper_default().iter() {
         ctl.step(demand, Seconds::new(1.0));
-        let status = ctl.topology().status();
+        let status = ctl.facility().topology().status();
         assert!(!status.any_tripped);
         assert!(status.dc_progress < 1.0);
         assert!(status.max_pdu_progress < 1.0);
@@ -127,9 +127,9 @@ fn room_stays_below_threshold() {
     for (_, demand) in ms_trace::paper_default().iter() {
         let r = ctl.step(demand, Seconds::new(1.0));
         assert!(
-            ctl.room().temperature() < ctl.room().threshold(),
+            ctl.facility().room().temperature() < ctl.facility().room().threshold(),
             "room at {} at time {}",
-            ctl.room().temperature(),
+            ctl.facility().room().temperature(),
             r.time
         );
     }
