@@ -38,82 +38,8 @@ echo "== chaos smoke (supervised execution under injected failures) =="
 # results against clean runs.
 cargo test -p dcs-sim --test chaos --offline -q
 
-echo "== simulate CLI exit codes =="
-cargo test -p dcs-bench --test simulate_cli --offline -q
-
-echo "== benches compile =="
-cargo bench --workspace --offline --no-run -q
-
-echo "== perf report smoke (batched vs independent, supervised vs plain, hyperscale) =="
-# Tiny-scale run of the perf-trajectory harness. The binary exits non-zero
-# unless every batched result — Oracle best bounds/outcomes, the table
-# cell-for-cell, and the per-lane summaries under a random fault schedule —
-# is bit-identical to the independent per-lane runs, the supervised +
-# checkpointed table build reproduces the plain batched build, and a build
-# killed at a snapshot boundary resumes to the identical table. A written
-# report is itself the smoke; the validator double-checks the flags and
-# that every timed section carries honest work counts. (The <=5% supervised
-# overhead budget is enforced by the binary in full mode only — tiny-scale
-# tables finish in ~2 ms, so checkpoint I/O dominates and the ratio is
-# meaningless there.) The v6 scale_hyperscale section runs even in tiny
-# mode (at reduced but still thousand-PDU dimensions): it re-asserts
-# batched == independent and thread-count invariance on the hyperscale
-# facility and records the worker-budget sweep.
-smoke_json="$(mktemp)"
-cargo run --release -p dcs-bench --bin perf_report --offline -q -- \
-  --tiny --out "$smoke_json" > /dev/null
-python3 - "$smoke_json" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-sections = ["run_full", "run_lean", "oracle_exhaustive", "oracle_pruned",
-            "oracle_pruned_unbatched", "table_exhaustive", "table_pruned",
-            "table_pruned_unbatched", "table_pruned_supervised"]
-required = ["schema", "mode", "batched_equals_independent", "best_bound",
-            "supervised_table_overhead", "supervised_overhead_within_budget",
-            "kill_resume_reproduces_table", "kernel_overhead",
-            "speedup_run_vs_pr5", "speedup_oracle_vs_pr5",
-            "speedup_table_vs_pr5", "scale_hyperscale"] + sections
-missing = [k for k in required if k not in report]
-assert not missing, f"perf report missing sections: {missing}"
-assert report["schema"] == "dcs-bench/perf-report-v6", report["schema"]
-assert report["mode"] == "tiny", report["mode"]
-# kernel_overhead is anchored to full-mode PR4 timings; tiny mode runs a
-# different scale, so the section must be present but null here. A full
-# run must land within budget (the binary aborts otherwise). The same
-# goes for the PR5 speedup anchors.
-ko = report["kernel_overhead"]
-assert ko is None or ko["within_budget"] is True, ko
-assert report["batched_equals_independent"] is True, \
-    "batched engine diverged from independent per-lane runs"
-assert report["kill_resume_reproduces_table"] is True, \
-    "kill-and-resume did not reproduce the table"
-hy = report["scale_hyperscale"]
-assert hy["batched_equals_independent"] is True, \
-    "hyperscale batched engine diverged from independent runs"
-assert hy["thread_count_invariant"] is True, \
-    "hyperscale table diverged across worker budgets"
-assert hy["pdus"] >= 1000, f"hyperscale has only {hy['pdus']} PDUs"
-assert hy["total_cores"] >= 250_000, hy["total_cores"]
-assert len(hy["thread_scaling"]) >= 2 \
-    and all(p["table_ms"] > 0 for p in hy["thread_scaling"]), \
-    "hyperscale worker sweep is incomplete"
-assert 0 < hy["parallel_efficiency"], hy["parallel_efficiency"]
-batched = 0
-hy_sections = [("hyperscale." + k, hy[k])
-               for k in ["run_lean", "oracle_pruned", "table_pruned"]]
-for k, sec in [(k, report[k]) for k in sections] + hy_sections:
-    assert sec["time_ms"] > 0, f"{k} has no timing"
-    assert sec["sim_runs"] > 0, f"{k} has no work count"
-    lanes = sec.get("lane_steps")
-    if lanes is not None:
-        assert lanes["live"] > 0 and lanes["unique_lanes"] > 0, \
-            f"{k} went through the batched engine but reports no lane steps"
-        batched += 1
-assert batched >= 7, f"only {batched} sections report lane steps"
-print(f"perf report OK ({len(sections) + len(hy_sections)} sections, "
-      f"{batched} batched, hyperscale {hy['total_cores']} cores)")
-EOF
-rm -f "$smoke_json"
+echo "== CLI exit codes (simulate, bench) =="
+cargo test -p dcs-bench --test simulate_cli --test bench_cli --offline -q
 
 echo "== service smoke (sprintd: 1k live decisions, kill -9, bit-identical resume) =="
 # Boots the real daemon, drives 1000 /step decisions over one keep-alive
@@ -212,58 +138,18 @@ echo "== chaos soak (1k decisions through the seeded fault proxy) =="
 # is the zero-hang proof: a single wedged read would blow it.
 timeout 300 cargo test -p dcs-service --test soak --offline -q
 
-echo "== load report (multi-client throughput, chaos mode, idempotent retry) =="
-# Full-mode run: the binary itself aborts unless the bare engine clears
-# 50k decisions/s with a sub-ms p99, the single-connection and pipelined
-# multi-client drives see zero 5xx, the aggregate pipelined rate clears
-# its floor, the chaos-proxy run surfaces only typed errors and advances
-# the plant exactly once per decision, and the forced ambiguous retry is
-# replayed rather than re-applied. The validator re-checks every flag
-# from the written report.
-load_json="$(mktemp)"
-cargo run --release -p dcs-bench --bin load_report --offline -q -- \
-  --out "$load_json" > /dev/null
-python3 - "$load_json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r["schema"] == "dcs-bench/perf-report-v7", r["schema"]
-assert r["mode"] == "full", r["mode"]
-e, h = r["engine"], r["http"]
-m, c, idem = r["http_multi"], r["chaos"], r["idempotent_retry"]
-assert e["decisions"] >= 100_000, e["decisions"]
-assert e["rate_per_sec"] >= 50_000, e["rate_per_sec"]
-assert e["latency"]["p99_us"] < 1_000, e["latency"]
-assert e["meets_rate_floor"] and e["sub_ms_p99"], e
-assert h["requests"] >= 1_000, h["requests"]
-assert h["responses_5xx"] == 0 and h["zero_5xx"], h
-assert h["rate_per_sec"] > 100, h["rate_per_sec"]
-# Aggregate pipelined throughput: the worker-pool accept path must
-# sustain many concurrent clients without a single 5xx.
-assert m["clients"] >= 4 and m["pipeline_depth"] >= 8, m
-assert m["requests"] >= 10_000, m["requests"]
-assert m["responses_5xx"] == 0 and m["zero_5xx"], m
-assert m["aggregate_rate_per_sec"] >= 25_000, m["aggregate_rate_per_sec"]
-assert m["meets_rate_floor"], m
-# Chaos mode: faults were actually injected, every surfaced error was
-# typed, and the plant advanced exactly once per intended decision.
-assert c["decisions"] >= 1_000, c["decisions"]
-faults = (c["injected_resets"] + c["injected_truncations"]
-          + c["injected_stalls"] + c["injected_trickles"])
-assert faults > 0, "chaos run injected no faults"
-assert c["client_retries"] > 0, "chaos never forced a retry"
-assert c["untyped_errors"] == 0, c["untyped_errors"]
-assert c["exactly_once"], "chaos run was not exactly-once"
-# The forced ambiguous retry: replayed, never re-applied.
-assert idem["replayed_on_retry"], idem
-assert idem["no_double_advance"], idem
-assert idem["conflict_is_typed"], idem
-print(f"load report OK: engine {e['rate_per_sec']:.0f}/s "
-      f"(p99 {e['latency']['p99_us']:.1f} us), "
-      f"http {h['rate_per_sec']:.0f}/s, "
-      f"multi {m['aggregate_rate_per_sec']:.0f}/s aggregate, "
-      f"chaos {faults} faults / {c['client_retries']} retries / "
-      f"0 untyped, idempotent retry OK")
-EOF
-rm -f "$load_json"
+echo "== bench (sim, hyperscale, service, chaos) =="
+# One full run of the timing harness. The binary exits non-zero unless
+# every batched result is bit-identical to its independent per-lane runs
+# (pruned == exhaustive, lean == full, the supervised and kill/resume
+# tables == the plain build, the hyperscale table invariant across worker
+# budgets), supervision costs <= 5% over the plain table build, the bare
+# engine clears 50k decisions/s with a sub-ms p99, the HTTP drives see
+# zero 5xx with >= 25k req/s aggregate pipelined, and the chaos run
+# surfaces only typed errors and advances the plant exactly once per
+# decision. It checks these on the serialized-and-reparsed report.
+bench_json="$(mktemp)"
+cargo run --release -p dcs-bench --bin bench --offline -q > "$bench_json"
+rm -f "$bench_json"
 
 echo "CI green."

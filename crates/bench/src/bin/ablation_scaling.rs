@@ -18,7 +18,7 @@ use dcs_workload::yahoo_trace;
 
 /// Facility scale from the CLI: `ablation_scaling [PDUS SERVERS_PER_PDU]`,
 /// defaulting to the paper-scale 4×200 facility. A larger scale lets the
-/// ablation ride the hyperscale configurations `perf_report` exercises.
+/// ablation ride the hyperscale configurations the `bench` binary exercises.
 fn scale_from_args() -> (usize, usize) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {

@@ -409,7 +409,7 @@ impl<'a> FacilityState<'a> {
     }
 
     /// `true` if holding this allocation would accumulate trip progress on
-    /// some breaker — the emergency-shed criterion. Unlike the reserve
+    /// some breaker — the emergency-shed trigger. Unlike the reserve
     /// rule this only reacts to loads inside the tripping region, so it
     /// never fires on a fault-free plant at normal load.
     #[must_use]

@@ -33,7 +33,7 @@
 //! All three preserve bit-identical [`SimSummary`] output versus N
 //! independent `run_summary_with_faults` calls — including under random
 //! [`FaultSchedule`]s — which the equivalence property suite and
-//! `perf_report` enforce. The runner is specific to constant-bound lanes:
+//! the `bench` binary enforce. The runner is specific to constant-bound lanes:
 //! stateful strategies would observe the shared prefix differently and are
 //! rejected by construction (only `FixedBound` lanes are ever built here).
 

@@ -270,7 +270,7 @@ pub fn oracle_search_resumable(
 }
 
 /// The pre-batching reference implementation: every evaluation is an
-/// independent run. Kept (and exercised by `perf_report` and the
+/// independent run. Kept (and exercised by the `bench` binary and the
 /// equivalence suite) as the ground truth the batched search must match
 /// bit-for-bit.
 ///

@@ -72,7 +72,7 @@ pub fn machine_parallelism() -> usize {
 ///
 /// This is the programmatic counterpart to the `DCS_THREADS` environment
 /// override, scoped instead of process-global; the thread-scaling section
-/// of `perf_report` and the shard-invariance equivalence tests sweep
+/// of the `bench` binary and the shard-invariance equivalence tests sweep
 /// thread counts through it. The previous budget is restored when `f`
 /// returns (or unwinds).
 pub fn with_worker_budget<R>(workers: usize, f: impl FnOnce() -> R) -> R {

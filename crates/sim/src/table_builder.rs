@@ -317,7 +317,7 @@ fn validate_axes(durations_min: &[f64], degrees: &[f64]) -> Result<(), SimError>
 
 /// The pre-batching reference implementation: every cell is an independent
 /// Oracle search, every evaluation an independent run. Kept (and exercised
-/// by `perf_report` and the equivalence suite) as the ground truth the
+/// by the `bench` binary and the equivalence suite) as the ground truth the
 /// batched build must match.
 ///
 /// # Panics
