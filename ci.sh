@@ -33,10 +33,12 @@ echo "== fault suite =="
 cargo test -p dcs-sim --test faults --offline -q
 
 echo "== chaos smoke (supervised execution under injected failures) =="
-# Panic-isolated sweeps, deadline watchdog trips, checkpoint kill/resume,
-# truncation/bit-flip corruption fallback — all asserting bit-identical
-# results against clean runs.
+# Panic-isolated sweeps, retried deadline overruns, checkpoint
+# kill/resume, truncation/bit-flip corruption fallback — all asserting
+# bit-identical results against clean runs. The second pass repeats it on
+# one worker, where every nested sweep runs inline on that worker.
 cargo test -p dcs-sim --test chaos --offline -q
+DCS_THREADS=1 cargo test -p dcs-sim --test chaos --offline -q
 
 echo "== CLI exit codes (simulate, bench) =="
 cargo test -p dcs-bench --test simulate_cli --test bench_cli --offline -q

@@ -138,6 +138,14 @@ impl SprintService {
                 })
                 .map_err(|e| SimError::service(format!("spawn engine: {e}")))?
         };
+        // Accept nothing before the engine has published the restored
+        // state: it answers a ping only after its first publish_status, so
+        // the first /status after a restart never reads the boot default.
+        let (ready, booted) = sync_channel(1);
+        tx.send(EngineMsg::Ping { reply: ready })
+            .ok()
+            .and_then(|()| booted.recv().ok())
+            .ok_or_else(|| SimError::service("engine exited during boot"))?;
         let watchdog = {
             let shared = shared.clone();
             let shutdown = shutdown.clone();

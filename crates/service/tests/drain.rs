@@ -10,6 +10,9 @@ use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 // KeepAlive matters here: a persistent connection is the only vantage
@@ -191,4 +194,68 @@ fn sigterm_drains_sprintd_cleanly() {
     assert_eq!(status, 200);
     child.wait().expect("reap");
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// Busy threads that crowd every core until dropped (also when a failed
+/// assertion unwinds past them).
+struct CpuHogs {
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl CpuHogs {
+    fn start(count: usize) -> CpuHogs {
+        let stop = Arc::new(AtomicBool::new(false));
+        let threads = (0..count)
+            .map(|_| {
+                let stop = stop.clone();
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                })
+            })
+            .collect();
+        CpuHogs { stop, threads }
+    }
+}
+
+impl Drop for CpuHogs {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+#[test]
+fn restart_serves_the_restored_state_from_the_first_request() {
+    // Each life adds one decision and drains, which checkpoints it; the
+    // next life's very first /status must already report it, never the
+    // boot default of 0. The hogs keep the engine thread from running
+    // the moment it is spawned, which is when an acceptor started ahead
+    // of the restore would serve that default.
+    let state_dir = scratch_dir("restart-race");
+    let config = ServiceConfig::for_facility(2, 20);
+    let cores = std::thread::available_parallelism().map_or(2, usize::from);
+    let _hogs = CpuHogs::start(2 * cores);
+    for life in 0..20_u64 {
+        let options = ServiceOptions {
+            state_dir: Some(state_dir.clone()),
+            chaos: ChaosSchedule::none(),
+        };
+        let service = SprintService::spawn(config.clone(), options, 0).expect("spawn");
+        let (status, body) = request(service.addr(), "GET", "/status", None);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(
+            parse::<StatusBody>(&body).decisions,
+            life,
+            "restart {life} served /status before restoring its checkpoint"
+        );
+        let (status, body) = step(service.addr(), 0.6);
+        assert_eq!(status, 200, "{body}");
+        service.shutdown();
+    }
+    std::fs::remove_dir_all(&state_dir).ok();
 }

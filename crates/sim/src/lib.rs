@@ -35,14 +35,16 @@
 //! * [`simd`] — the hand-rolled `f64x4` kernel behind the batch engine's
 //!   structure-of-arrays lane accumulators and span folds (bit-identical
 //!   to the scalar path by construction);
-//! * [`parallel_map_supervised`] / [`Supervisor`] — the supervised slow
-//!   path: per-item panic isolation (`catch_unwind`), retries with capped
-//!   exponential backoff, a watchdog-enforced per-item deadline, and a
-//!   structured [`SweepReport`] instead of a blanket abort;
+//! * [`Supervisor`] — supervised execution on the same scheduler as
+//!   [`parallel_map`]: per-item panic isolation (`catch_unwind`), retries
+//!   with capped exponential backoff, a per-item deadline checked after
+//!   each attempt, and a structured [`SweepReport`] instead of an abort;
 //! * [`CheckpointStore`] + [`oracle_search_resumable`] /
-//!   [`build_upper_bound_table_resumable`] — atomic, checksummed
-//!   snapshots of completed lanes/cells so a killed provisioning sweep
-//!   resumes from its last snapshot with bit-identical results;
+//!   [`build_upper_bound_table_resumable`] — the same Oracle and table
+//!   drivers as the plain forms, writing an atomic, checksummed snapshot
+//!   after each Oracle evaluation wave and as each table column finishes,
+//!   so a killed provisioning sweep resumes from its last snapshot with
+//!   bit-identical results;
 //! * [`SimError`] — the typed error taxonomy (config / I/O / physics /
 //!   harness) behind the resumable searches, the supervised executor, and
 //!   the bench binaries' distinct exit codes.
@@ -99,8 +101,7 @@ pub use runner::{
 pub use scenario::{Scenario, SimResult, SimSummary};
 pub use sink::RecordSink;
 pub use supervisor::{
-    parallel_map_supervised, FailureCause, RetryPolicy, Supervisor, SweepFailure, SweepRecovery,
-    SweepReport,
+    FailureCause, RetryPolicy, Supervisor, SweepFailure, SweepRecovery, SweepReport,
 };
 pub use sweep::{machine_parallelism, parallel_map, with_worker_budget};
 pub use table_builder::{

@@ -82,47 +82,16 @@ pub fn oracle_search(scenario: &Scenario) -> OracleOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the degree grid is empty (impossible for a valid spec).
+/// Panics if the degree grid is empty (impossible for a valid spec), or
+/// if an evaluation panics.
 #[must_use]
 pub fn oracle_search_stats(
     scenario: &Scenario,
     faults: &FaultSchedule,
     mode: OracleMode,
 ) -> (OracleOutcome, BatchStats) {
-    let (best_bound, tried, stats) = match mode {
-        OracleMode::Exhaustive => {
-            let grid = degree_grid(scenario.spec());
-            assert!(!grid.is_empty(), "degree grid is never empty");
-            let batch = run_bound_batch(scenario, &grid, faults);
-            let tried: Vec<(f64, f64)> = grid
-                .iter()
-                .zip(&batch.summaries)
-                .map(|(b, s)| (b.as_f64(), s.average_performance()))
-                .collect();
-            (
-                grid[last_argmax(tried.iter().map(|&(_, v)| v))],
-                tried,
-                batch.stats,
-            )
-        }
-        OracleMode::Pruned => pruned_scan_batched(scenario, faults),
-    };
-    let mut best = run_with_faults(scenario, Box::new(FixedBound::new(best_bound)), faults);
-    best.strategy = "Oracle".into();
-    (
-        OracleOutcome {
-            best_bound,
-            best,
-            tried,
-        },
-        stats,
-    )
+    search(scenario, faults, mode, &Supervisor::new(), None).unwrap_or_else(|e| panic!("{e}"))
 }
-
-/// Positions evaluated per checkpoint chunk in the resumable search: small
-/// enough that a kill loses little work, large enough that snapshot I/O is
-/// noise next to the simulation itself.
-const CKPT_CHUNK: usize = 8;
 
 /// Checkpoint payload for a resumable Oracle search: every evaluated
 /// candidate position with its value (stored as raw `f64` bits for
@@ -131,7 +100,7 @@ const CKPT_CHUNK: usize = 8;
 struct OracleCkpt {
     /// `(candidate position, average-performance f64 bits)` pairs.
     values: Vec<(u64, u64)>,
-    /// Batch counters accumulated over the evaluated chunks.
+    /// Batch counters accumulated over the evaluated waves.
     stats: BatchStats,
 }
 
@@ -158,23 +127,36 @@ pub fn oracle_checkpoint_store(
     CheckpointStore::open(dir, "oracle", fp)
 }
 
-/// [`oracle_search_stats`] with supervised, checkpointed execution: the
-/// candidate grid is evaluated in small chunks, each chunk runs under the
-/// supervisor's panic isolation and retry policy, and a snapshot of every
-/// completed value is written atomically after each chunk. Killed at any
-/// snapshot boundary (or resumed from a prior run's directory via the same
-/// `store`), the search continues from the last intact snapshot and
-/// returns an [`OracleOutcome`] bit-identical to [`oracle_search_stats`].
+/// [`oracle_search_stats`] with supervised, checkpointed execution: each
+/// evaluation wave and the final run execute under the supervisor's panic
+/// isolation and retry policy (chaos items 0 and 1 are the waves, item 2
+/// the final run), and a snapshot of every completed value is written
+/// atomically after each wave. Killed at any snapshot boundary (or
+/// resumed from a prior run's directory via the same `store`), the search
+/// continues from the last intact snapshot and returns an
+/// [`OracleOutcome`] bit-identical to [`oracle_search_stats`].
 ///
-/// The returned [`BatchStats`] count the lane-steps *this* execution
-/// path ran (chunked waves, minus whatever a resume restored) — work
-/// accounting, not part of the certified outcome.
+/// The returned [`BatchStats`] equal [`oracle_search_stats`]'s: a resume
+/// restores the counters of the waves its snapshot holds.
 pub fn oracle_search_resumable(
     scenario: &Scenario,
     faults: &FaultSchedule,
     mode: OracleMode,
     supervisor: &Supervisor,
     store: &mut CheckpointStore,
+) -> Result<(OracleOutcome, BatchStats), SimError> {
+    search(scenario, faults, mode, supervisor, Some(store))
+}
+
+/// The one Oracle driver: evaluates the mode's waves as batched passes
+/// under `supervisor`, snapshotting after each wave when a `store` is
+/// given (and resuming from its latest snapshot), then runs the winner.
+fn search(
+    scenario: &Scenario,
+    faults: &FaultSchedule,
+    mode: OracleMode,
+    supervisor: &Supervisor,
+    mut store: Option<&mut CheckpointStore>,
 ) -> Result<(OracleOutcome, BatchStats), SimError> {
     // Both modes reduce to "evaluate candidate bounds at these positions,
     // then select": the pruned mode evaluates its plan's waves, the
@@ -192,70 +174,58 @@ pub fn oracle_search_resumable(
     }
     let mut values: Vec<Option<f64>> = (0..plan.len()).map(|_| None).collect();
     let mut stats = BatchStats::default();
-    if let Some(loaded) = store.load_latest::<OracleCkpt>()? {
-        for &(p, bits) in &loaded.payload.values {
-            let p = p as usize;
-            if p >= values.len() {
-                return Err(SimError::checkpoint(
-                    store.dir().display().to_string(),
-                    format!("snapshot position {p} exceeds plan size {}", values.len()),
-                ));
+    if let Some(store) = store.as_deref() {
+        if let Some(loaded) = store.load_latest::<OracleCkpt>()? {
+            for &(p, bits) in &loaded.payload.values {
+                let p = p as usize;
+                if p >= values.len() {
+                    return Err(SimError::checkpoint(
+                        store.dir().display().to_string(),
+                        format!("snapshot position {p} exceeds plan size {}", values.len()),
+                    ));
+                }
+                values[p] = Some(f64::from_bits(bits));
             }
-            values[p] = Some(f64::from_bits(bits));
+            stats = loaded.payload.stats;
         }
-        stats = loaded.payload.stats;
     }
 
-    let mut chunk_ordinal = 0_usize;
-    let evaluate_chunked = |positions: &[usize],
-                            values: &mut Vec<Option<f64>>,
-                            stats: &mut BatchStats,
-                            store: &mut CheckpointStore,
-                            chunk_ordinal: &mut usize|
-     -> Result<(), SimError> {
+    for wave in 0..2 {
+        let positions: Vec<usize> = match (mode, wave) {
+            // Exhaustive means exhaustive: every grid position, once.
+            (OracleMode::Exhaustive, 0) => (0..plan.len()).collect(),
+            (OracleMode::Exhaustive, _) => Vec::new(),
+            // The pruned search's coarse wave, then its refinement window.
+            (OracleMode::Pruned, 0) => plan.first_positions(),
+            (OracleMode::Pruned, _) => plan.window_positions(&values),
+        };
         let pending: Vec<usize> = positions
-            .iter()
-            .copied()
+            .into_iter()
             .filter(|&p| values[p].is_none())
             .collect();
-        for chunk in pending.chunks(CKPT_CHUNK) {
-            let bounds: Vec<Ratio> = chunk.iter().map(|&p| plan.bound(p)).collect();
-            let batch = supervisor.call(*chunk_ordinal, || {
-                run_bound_batch(scenario, &bounds, faults)
-            })?;
-            *chunk_ordinal += 1;
-            stats.merge(batch.stats);
-            for (&p, s) in chunk.iter().zip(&batch.summaries) {
-                values[p] = Some(s.average_performance());
-            }
-            let ckpt = OracleCkpt {
+        if pending.is_empty() {
+            continue;
+        }
+        let bounds: Vec<Ratio> = pending.iter().map(|&p| plan.bound(p)).collect();
+        let batch = supervisor.call(wave, || run_bound_batch(scenario, &bounds, faults))?;
+        stats.merge(batch.stats);
+        for (&p, s) in pending.iter().zip(&batch.summaries) {
+            values[p] = Some(s.average_performance());
+        }
+        if let Some(store) = store.as_deref_mut() {
+            store.save(&OracleCkpt {
                 values: values
                     .iter()
                     .enumerate()
                     .filter_map(|(p, v)| v.map(|v| (p as u64, v.to_bits())))
                     .collect(),
-                stats: *stats,
-            };
-            store.save(&ckpt)?;
-        }
-        Ok(())
-    };
-
-    let first: Vec<usize> = match mode {
-        // The pruned search's coarse wave; refinement follows below.
-        OracleMode::Pruned => plan.first_positions(),
-        // Exhaustive means exhaustive: every grid position.
-        OracleMode::Exhaustive => (0..plan.len()).collect(),
-    };
-    evaluate_chunked(&first, &mut values, &mut stats, store, &mut chunk_ordinal)?;
-    if mode == OracleMode::Pruned {
-        let window = plan.window_positions(&values);
-        if !window.is_empty() {
-            evaluate_chunked(&window, &mut values, &mut stats, store, &mut chunk_ordinal)?;
+                stats,
+            })?;
         }
     }
     let (best_bound, tried) = plan.select(&values);
-    let mut best = supervisor.call(plan.len(), || {
+    // Item 2: the waves were items 0 and 1.
+    let mut best = supervisor.call(2, || {
         run_with_faults(scenario, Box::new(FixedBound::new(best_bound)), faults)
     })?;
     best.strategy = "Oracle".into();
@@ -515,33 +485,6 @@ pub(crate) fn pruned_scan(scenario: &Scenario, faults: &FaultSchedule) -> (Ratio
         evaluate(&window, &mut values);
     }
     plan.select(&values)
-}
-
-/// The pruned Oracle scan, batched driver: each evaluation wave is one
-/// [`run_bound_batch`] — a single pass over the trace for all its lanes —
-/// with results bit-identical to [`pruned_scan`].
-pub(crate) fn pruned_scan_batched(
-    scenario: &Scenario,
-    faults: &FaultSchedule,
-) -> (Ratio, Vec<(f64, f64)>, BatchStats) {
-    let plan = scan_plan(scenario.spec(), scenario.trace(), faults);
-    let mut values: Vec<Option<f64>> = (0..plan.len()).map(|_| None).collect();
-    let mut stats = BatchStats::default();
-    let mut evaluate = |positions: &[usize], values: &mut Vec<Option<f64>>| {
-        let bounds: Vec<Ratio> = positions.iter().map(|&p| plan.bound(p)).collect();
-        let batch = run_bound_batch(scenario, &bounds, faults);
-        stats.merge(batch.stats);
-        for (&p, s) in positions.iter().zip(&batch.summaries) {
-            values[p] = Some(s.average_performance());
-        }
-    };
-    evaluate(&plan.first_positions(), &mut values);
-    let window = plan.window_positions(&values);
-    if !window.is_empty() {
-        evaluate(&window, &mut values);
-    }
-    let (best, tried) = plan.select(&values);
-    (best, tried, stats)
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! Supervised parallel execution: panic isolation, retries, deadlines.
 //!
-//! [`parallel_map`](crate::parallel_map) is the zero-overhead fast path —
-//! a panicking item aborts the whole sweep (now at least naming the item).
-//! The [`Supervisor`] here is the slow-but-safe path for long provisioning
-//! sweeps: every work item runs inside `catch_unwind`, a failed attempt is
-//! retried under a [`RetryPolicy`] with capped exponential backoff, an
-//! optional per-item deadline is enforced by a watchdog thread, and the
-//! caller gets a [`SweepReport`] naming every item that ultimately failed
-//! (with its panic payload) instead of a blanket abort.
+//! [`parallel_map`](crate::parallel_map) propagates a panicking item as a
+//! panic of the whole sweep (naming the item). The [`Supervisor`] runs on
+//! the same scheduler but wraps every work item in `catch_unwind`: a
+//! failed attempt is retried under a [`RetryPolicy`] with capped
+//! exponential backoff, an optional per-item deadline is checked after
+//! each attempt, and the caller gets a [`SweepReport`] naming every item
+//! that ultimately failed (with its panic payload) instead of an abort.
+//! The Oracle search and the table builder run every evaluation under a
+//! supervisor; their plain forms pass [`Supervisor::new`].
 //!
 //! Determinism: a perturbed attempt's output is discarded before retrying,
 //! and the work closures in this crate are pure functions of their input,
@@ -15,16 +16,12 @@
 //! bit-identical to a clean run. The chaos suite asserts this.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use dcs_faults::{ChaosKind, ChaosSchedule};
 
 use crate::error::SimError;
 use crate::sweep::{panic_payload_message, BudgetGuard};
-
-/// Sentinel for "worker is idle" in the watchdog's per-worker item slots.
-const IDLE: usize = usize::MAX;
 
 /// Per-item retry policy for supervised execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +34,8 @@ pub struct RetryPolicy {
     pub max_backoff_ms: u64,
     /// Per-item deadline in milliseconds. An attempt that overruns it is
     /// discarded and counted as a failure (and retried if attempts
-    /// remain). `None` disables the watchdog.
+    /// remain). The check runs after the attempt returns: a running
+    /// attempt is never pre-empted. `None` disables the check.
     pub deadline_ms: Option<u64>,
 }
 
@@ -210,52 +208,20 @@ impl Supervisor {
 
     /// Runs one nominal work item (index `item`, for chaos lookup and
     /// error attribution) under the retry policy, inline on the calling
-    /// thread. The deadline, if any, is checked after each attempt — an
-    /// overrunning attempt's result is discarded and retried.
+    /// thread.
     pub fn call<U>(&self, item: usize, f: impl Fn() -> U) -> Result<U, SimError> {
-        let mut last_cause = None;
-        for attempt in 0..self.retry.max_attempts {
-            if attempt > 0 {
-                let backoff = self.retry.backoff_ms(attempt - 1);
-                if backoff > 0 {
-                    std::thread::sleep(Duration::from_millis(backoff));
-                }
-            }
-            let started = Instant::now();
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let _budget = BudgetGuard::set(BudgetGuard::current());
-                self.apply_chaos(item, attempt);
-                f()
-            }));
-            let elapsed_ms = started.elapsed().as_millis() as u64;
-            match outcome {
-                Ok(value) => match self.retry.deadline_ms {
-                    Some(deadline_ms) if elapsed_ms > deadline_ms => {
-                        last_cause = Some(FailureCause::DeadlineExceeded {
-                            elapsed_ms,
-                            deadline_ms,
-                        });
-                    }
-                    _ => return Ok(value),
-                },
-                Err(payload) => {
-                    last_cause = Some(FailureCause::Panic {
-                        payload: panic_payload_message(payload.as_ref()),
-                    });
-                }
-            }
-        }
-        let cause = last_cause.expect("max_attempts >= 1 ran at least one attempt");
-        Err(SimError::Sweep {
+        let (result, attempts) = self.supervise(item, f);
+        result.map_err(|cause| SimError::Sweep {
             item,
-            attempts: self.retry.max_attempts,
+            attempts,
             message: cause.to_string(),
         })
     }
 
-    /// Maps `f` over `inputs` in parallel with per-item supervision:
-    /// panic isolation, retries with capped backoff, and (when the policy
-    /// sets a deadline) a watchdog thread that flags overrunning attempts.
+    /// Maps `f` over `inputs` through [`parallel_map`](crate::parallel_map)
+    /// with per-item supervision: panic isolation and retries with capped
+    /// backoff. Scheduling, worker budgets and inline runs under a budget
+    /// of one are exactly `parallel_map`'s.
     ///
     /// Results preserve input order. Unlike
     /// [`parallel_map`](crate::parallel_map), a failing item never aborts
@@ -267,188 +233,73 @@ impl Supervisor {
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        let len = inputs.len();
-        if len == 0 {
-            return SweepReport {
-                results: Vec::new(),
-                failures: Vec::new(),
-                recovered: Vec::new(),
-            };
-        }
-        let budget = BudgetGuard::current();
-        let cap = budget.unwrap_or_else(crate::machine_parallelism);
-        let workers = cap.min(len).max(1);
-        let child_budget = (cap / workers).max(1);
-
-        struct ItemOutcome<U> {
-            item: usize,
-            attempts: u32,
-            result: Result<U, FailureCause>,
-        }
-
-        // Watchdog state: one (start-ms, item, tripped) triple per worker.
-        let epoch = Instant::now();
-        let starts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let items: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(IDLE)).collect();
-        let tripped: Vec<AtomicBool> = (0..workers).map(|_| AtomicBool::new(false)).collect();
-        let done = AtomicBool::new(false);
-        let next = AtomicUsize::new(0);
-
-        let f = &f;
-        let starts = &starts;
-        let items = &items;
-        let tripped = &tripped;
-        let done = &done;
-        let next = &next;
-
-        let mut outcomes: Vec<ItemOutcome<U>> = std::thread::scope(|scope| {
-            if let Some(deadline_ms) = self.retry.deadline_ms {
-                let poll = Duration::from_millis((deadline_ms / 4).clamp(1, 5));
-                scope.spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        let now_ms = epoch.elapsed().as_millis() as u64;
-                        for w in 0..workers {
-                            if items[w].load(Ordering::Acquire) == IDLE {
-                                continue;
-                            }
-                            let start = starts[w].load(Ordering::Acquire);
-                            if now_ms.saturating_sub(start) > deadline_ms {
-                                tripped[w].store(true, Ordering::Release);
-                            }
-                        }
-                        std::thread::sleep(poll);
-                    }
-                });
-            }
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let _budget = BudgetGuard::set(Some(child_budget));
-                        let mut produced: Vec<ItemOutcome<U>> = Vec::new();
-                        loop {
-                            let item = next.fetch_add(1, Ordering::Relaxed);
-                            if item >= len {
-                                break;
-                            }
-                            let outcome = self.supervise_item(
-                                item,
-                                &inputs[item],
-                                f,
-                                epoch,
-                                &starts[w],
-                                &items[w],
-                                &tripped[w],
-                            );
-                            produced.push(ItemOutcome {
-                                item,
-                                attempts: outcome.1,
-                                result: outcome.0,
-                            });
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            let mut outcomes = Vec::with_capacity(len);
-            for handle in handles {
-                // Workers catch item panics internally; a join error here
-                // would mean the supervisor itself is broken.
-                outcomes.extend(handle.join().expect("supervised worker must not panic"));
-            }
-            done.store(true, Ordering::Release);
-            outcomes
-        });
-
-        outcomes.sort_by_key(|o| o.item);
-        let mut results: Vec<Option<U>> = (0..len).map(|_| None).collect();
-        let mut failures = Vec::new();
-        let mut recovered = Vec::new();
-        for outcome in outcomes {
-            match outcome.result {
+        let items: Vec<usize> = (0..inputs.len()).collect();
+        // Every item catches its own panics, so parallel_map never sees one.
+        let outcomes =
+            crate::parallel_map(&items, |&item| self.supervise(item, || f(&inputs[item])));
+        let mut report = SweepReport {
+            results: Vec::with_capacity(outcomes.len()),
+            failures: Vec::new(),
+            recovered: Vec::new(),
+        };
+        for (item, (result, attempts)) in outcomes.into_iter().enumerate() {
+            match result {
                 Ok(value) => {
-                    if outcome.attempts > 1 {
-                        recovered.push(SweepRecovery {
-                            item: outcome.item,
-                            attempts: outcome.attempts,
-                        });
+                    if attempts > 1 {
+                        report.recovered.push(SweepRecovery { item, attempts });
                     }
-                    results[outcome.item] = Some(value);
+                    report.results.push(Some(value));
                 }
-                Err(cause) => failures.push(SweepFailure {
-                    item: outcome.item,
-                    attempts: outcome.attempts,
-                    cause,
-                }),
+                Err(cause) => {
+                    report.failures.push(SweepFailure {
+                        item,
+                        attempts,
+                        cause,
+                    });
+                    report.results.push(None);
+                }
             }
         }
-        SweepReport {
-            results,
-            failures,
-            recovered,
-        }
+        report
     }
 
-    /// Runs every attempt of one item on the current worker thread,
-    /// publishing progress to the watchdog slots.
-    #[allow(clippy::too_many_arguments)]
-    fn supervise_item<T, U, F>(
-        &self,
-        item: usize,
-        input: &T,
-        f: &F,
-        epoch: Instant,
-        start_slot: &AtomicU64,
-        item_slot: &AtomicUsize,
-        tripped: &AtomicBool,
-    ) -> (Result<U, FailureCause>, u32)
-    where
-        F: Fn(&T) -> U,
-    {
-        let mut last_cause = None;
-        for attempt in 0..self.retry.max_attempts {
-            if attempt > 0 {
-                let backoff = self.retry.backoff_ms(attempt - 1);
-                if backoff > 0 {
-                    std::thread::sleep(Duration::from_millis(backoff));
-                }
-            }
-            tripped.store(false, Ordering::Release);
-            start_slot.store(epoch.elapsed().as_millis() as u64, Ordering::Release);
-            item_slot.store(item, Ordering::Release);
+    /// The retry loop: runs attempts of one item until one succeeds inside
+    /// the deadline or the attempts run out, returning the outcome and the
+    /// number of attempts made. The deadline is checked after each attempt
+    /// — an overrunning attempt's result is discarded and retried.
+    fn supervise<U>(&self, item: usize, f: impl Fn() -> U) -> (Result<U, FailureCause>, u32) {
+        let mut attempt = 0;
+        loop {
             let started = Instant::now();
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let _budget = BudgetGuard::set(BudgetGuard::current());
                 self.apply_chaos(item, attempt);
-                f(input)
+                f()
             }));
-            item_slot.store(IDLE, Ordering::Release);
             let elapsed_ms = started.elapsed().as_millis() as u64;
-            match outcome {
-                Ok(value) => {
-                    let overran = match self.retry.deadline_ms {
-                        Some(deadline_ms) => {
-                            tripped.load(Ordering::Acquire) || elapsed_ms > deadline_ms
-                        }
-                        None => false,
-                    };
-                    if overran {
-                        last_cause = Some(FailureCause::DeadlineExceeded {
+            let cause = match outcome {
+                Ok(value) => match self.retry.deadline_ms {
+                    Some(deadline_ms) if elapsed_ms > deadline_ms => {
+                        FailureCause::DeadlineExceeded {
                             elapsed_ms,
-                            deadline_ms: self.retry.deadline_ms.unwrap_or(0),
-                        });
-                    } else {
-                        return (Ok(value), attempt + 1);
+                            deadline_ms,
+                        }
                     }
-                }
-                Err(payload) => {
-                    last_cause = Some(FailureCause::Panic {
-                        payload: panic_payload_message(payload.as_ref()),
-                    });
-                }
+                    _ => return (Ok(value), attempt + 1),
+                },
+                Err(payload) => FailureCause::Panic {
+                    payload: panic_payload_message(payload.as_ref()),
+                },
+            };
+            attempt += 1;
+            if attempt >= self.retry.max_attempts {
+                return (Err(cause), attempt);
+            }
+            let backoff = self.retry.backoff_ms(attempt - 1);
+            if backoff > 0 {
+                std::thread::sleep(Duration::from_millis(backoff));
             }
         }
-        let cause = last_cause.expect("max_attempts >= 1 ran at least one attempt");
-        (Err(cause), self.retry.max_attempts)
     }
 
     /// Applies any chaos scheduled for this (item, attempt): a stall
@@ -466,32 +317,6 @@ impl Supervisor {
     }
 }
 
-/// Maps `f` over `inputs` with per-item panic isolation, retries, and an
-/// optional watchdog-enforced deadline — the supervised counterpart of
-/// [`parallel_map`](crate::parallel_map).
-///
-/// # Examples
-///
-/// ```
-/// use dcs_sim::{parallel_map_supervised, RetryPolicy};
-///
-/// let report = parallel_map_supervised(
-///     &[1, 2, 3, 4],
-///     |&x| x * x,
-///     RetryPolicy::default(),
-/// );
-/// assert!(report.is_complete());
-/// assert_eq!(report.into_results().unwrap(), vec![1, 4, 9, 16]);
-/// ```
-pub fn parallel_map_supervised<T, U, F>(inputs: &[T], f: F, retry: RetryPolicy) -> SweepReport<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    Supervisor::new().with_retry(retry).map(inputs, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,25 +326,33 @@ mod tests {
     fn clean_map_matches_parallel_map() {
         let inputs: Vec<usize> = (0..50).collect();
         let plain = crate::parallel_map(&inputs, |&x| x * 3 + 1);
-        let report = parallel_map_supervised(&inputs, |&x| x * 3 + 1, RetryPolicy::default());
+        let report = Supervisor::new().map(&inputs, |&x| x * 3 + 1);
         assert!(report.is_complete());
         assert!(report.recovered.is_empty());
         assert_eq!(report.into_results().unwrap(), plain);
     }
 
     #[test]
+    fn map_under_a_budget_of_one_runs_inline() {
+        // As with parallel_map, a budget of one spawns no thread: every
+        // item runs on the caller, so its CPU time is the caller's.
+        let here = std::thread::current().id();
+        let report = crate::with_worker_budget(1, || {
+            Supervisor::new().map(&[1, 2, 3], |_| std::thread::current().id())
+        });
+        let ids = report.into_results().unwrap();
+        assert!(ids.iter().all(|&id| id == here), "an item left the caller");
+    }
+
+    #[test]
     fn panic_is_isolated_and_reported() {
         let inputs: Vec<usize> = (0..10).collect();
-        let report = parallel_map_supervised(
-            &inputs,
-            |&x| {
-                if x == 7 {
-                    panic!("item seven is cursed");
-                }
-                x * 2
-            },
-            RetryPolicy::default(),
-        );
+        let report = Supervisor::new().map(&inputs, |&x| {
+            if x == 7 {
+                panic!("item seven is cursed");
+            }
+            x * 2
+        });
         assert_eq!(report.failures.len(), 1);
         let failure = &report.failures[0];
         assert_eq!(failure.item, 7);
@@ -616,8 +449,7 @@ mod tests {
 
     #[test]
     fn zero_duration_deadline_fails_fast() {
-        // A 0 ms deadline is degenerate but must not hang the watchdog
-        // (its poll interval clamps to ≥ 1 ms) or spin forever: any
+        // A 0 ms deadline is degenerate but must not spin forever: any
         // attempt that takes measurable time fails with a typed deadline
         // cause after the configured attempts, promptly.
         let started = Instant::now();

@@ -118,7 +118,7 @@ pub(crate) fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> Str
 /// `"sweep worker panicked on item 17: boom"`. When several workers panic
 /// in the same sweep, the lowest failing item index is reported. Callers
 /// that need per-item isolation instead of propagation should use
-/// [`parallel_map_supervised`](crate::parallel_map_supervised).
+/// [`Supervisor::map`](crate::Supervisor::map).
 ///
 /// # Examples
 ///

@@ -13,6 +13,7 @@ use dcs_power::DataCenterSpec;
 use dcs_units::{Ratio, Seconds};
 use dcs_workload::{yahoo_trace, Trace};
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// Work counters for a table build: cells filled, candidate-bound
 /// evaluations performed across all cells, and the batched lane-step
@@ -103,39 +104,16 @@ pub fn build_upper_bound_table_stats(
     degrees: &[f64],
     mode: OracleMode,
 ) -> (UpperBoundTable, TableBuildStats) {
-    if let Err(e) = validate_axes(durations_min, degrees) {
-        panic!("{e}");
-    }
-    let built = match mode {
-        OracleMode::Pruned => crate::parallel_map(degrees, |&degree| {
-            pruned_column(spec, config, durations_min, degree)
-        }),
-        // The exhaustive fallback batches each cell's grid but keeps the
-        // historical cell-at-a-time structure.
-        OracleMode::Exhaustive => crate::parallel_map(degrees, |&degree| {
-            exhaustive_column(spec, config, durations_min, degree)
-        }),
-    };
-    let mut stats = TableBuildStats::default();
-    let columns: Vec<Vec<Ratio>> = built
-        .into_iter()
-        .map(|(bounds, s)| {
-            stats.merge(s);
-            bounds
-        })
-        .collect();
-    // Table cell order is durations outer, degrees inner.
-    let mut bounds = Vec::with_capacity(durations_min.len() * degrees.len());
-    for d in 0..durations_min.len() {
-        for column in &columns {
-            bounds.push(column[d]);
-        }
-    }
-    (
-        UpperBoundTable::new(durations_min.to_vec(), degrees.to_vec(), bounds)
-            .expect("axes validated above"),
-        stats,
+    build_table(
+        spec,
+        config,
+        durations_min,
+        degrees,
+        mode,
+        &Supervisor::new(),
+        None,
     )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Checkpoint payload for a resumable table build: one entry per
@@ -154,8 +132,27 @@ struct TableColumnCkpt {
 /// Checkpoint payload wrapper (the snapshot's whole body).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct TableCkpt {
-    /// Completed columns in completion order.
+    /// Completed columns in ascending column order.
     columns: Vec<TableColumnCkpt>,
+}
+
+impl TableCkpt {
+    /// The snapshot of every completed column.
+    fn of(columns: &[Option<Column>]) -> TableCkpt {
+        TableCkpt {
+            columns: columns
+                .iter()
+                .enumerate()
+                .filter_map(|(i, c)| {
+                    c.as_ref().map(|(bounds, stats)| TableColumnCkpt {
+                        index: i as u64,
+                        bounds: bounds.iter().map(|b| b.as_f64().to_bits()).collect(),
+                        stats: *stats,
+                    })
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Opens (or reopens) a checkpoint store for a resumable table build over
@@ -185,14 +182,15 @@ pub fn table_checkpoint_store(
 }
 
 /// [`build_upper_bound_table_stats`] with supervised, checkpointed
-/// execution: columns (one per degree) are built in waves sized to
-/// [`crate::machine_parallelism`], each wave runs under the supervisor's panic
-/// isolation and retry policy, and a snapshot of every completed column
-/// is written atomically after each wave. Killed at any snapshot boundary
-/// (or resumed via the same `store`), the build continues from the last
-/// intact snapshot and produces the identical table cell-for-cell —
-/// column results are deterministic, and stats are merged in ascending
-/// column order exactly as the plain build does.
+/// execution: each column (one per degree) runs under the supervisor's
+/// panic isolation and retry policy, scheduled exactly as the plain build
+/// schedules it, and a snapshot of every completed column is written
+/// atomically as each column finishes — one snapshot per column built.
+/// Killed at any snapshot boundary (or resumed via the same `store`), the
+/// build continues from the last intact snapshot and produces the
+/// identical table cell-for-cell — column results are deterministic, and
+/// stats are merged in ascending column order exactly as the plain build
+/// does.
 ///
 /// Invalid axes return [`SimError::Config`] before any column is built or
 /// any snapshot written.
@@ -205,82 +203,113 @@ pub fn build_upper_bound_table_resumable(
     supervisor: &Supervisor,
     store: &mut CheckpointStore,
 ) -> Result<(UpperBoundTable, TableBuildStats), SimError> {
+    build_table(
+        spec,
+        config,
+        durations_min,
+        degrees,
+        mode,
+        supervisor,
+        Some(store),
+    )
+}
+
+/// One column's bounds (one per duration) and build counters.
+type Column = (Vec<Ratio>, TableBuildStats);
+
+/// What the column workers share: the completed columns, the store they
+/// snapshot into, and the first snapshot error (after which no column is
+/// recorded, so a killed build stops at its kill point).
+struct Progress<'a> {
+    columns: Vec<Option<Column>>,
+    store: Option<&'a mut CheckpointStore>,
+    error: Option<SimError>,
+}
+
+/// The one table driver: builds every column not restored from `store`'s
+/// latest snapshot under `supervisor`, snapshotting as each finishes when
+/// a `store` is given, then assembles the table.
+fn build_table(
+    spec: &DataCenterSpec,
+    config: &ControllerConfig,
+    durations_min: &[f64],
+    degrees: &[f64],
+    mode: OracleMode,
+    supervisor: &Supervisor,
+    store: Option<&mut CheckpointStore>,
+) -> Result<(UpperBoundTable, TableBuildStats), SimError> {
     validate_axes(durations_min, degrees)?;
-    let mut columns: Vec<Option<(Vec<Ratio>, TableBuildStats)>> =
-        (0..degrees.len()).map(|_| None).collect();
-    if let Some(loaded) = store.load_latest::<TableCkpt>()? {
-        for col in &loaded.payload.columns {
-            let index = col.index as usize;
-            if index >= columns.len() || col.bounds.len() != durations_min.len() {
-                return Err(SimError::checkpoint(
-                    store.dir().display().to_string(),
-                    format!("snapshot column {index} does not fit the requested grid"),
-                ));
+    let mut columns: Vec<Option<Column>> = (0..degrees.len()).map(|_| None).collect();
+    if let Some(store) = store.as_deref() {
+        if let Some(loaded) = store.load_latest::<TableCkpt>()? {
+            for col in &loaded.payload.columns {
+                let index = col.index as usize;
+                if index >= columns.len() || col.bounds.len() != durations_min.len() {
+                    return Err(SimError::checkpoint(
+                        store.dir().display().to_string(),
+                        format!("snapshot column {index} does not fit the requested grid"),
+                    ));
+                }
+                let bounds = col
+                    .bounds
+                    .iter()
+                    .map(|&bits| Ratio::new(f64::from_bits(bits)))
+                    .collect();
+                columns[index] = Some((bounds, col.stats));
             }
-            let bounds = col
-                .bounds
-                .iter()
-                .map(|&bits| Ratio::new(f64::from_bits(bits)))
-                .collect();
-            columns[index] = Some((bounds, col.stats));
         }
     }
 
-    let wave_size = crate::machine_parallelism();
-    loop {
-        let missing: Vec<usize> = columns
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.is_none().then_some(i))
-            .collect();
-        if missing.is_empty() {
-            break;
+    let missing: Vec<usize> = (0..degrees.len())
+        .filter(|&i| columns[i].is_none())
+        .collect();
+    let progress = Mutex::new(Progress {
+        columns,
+        store,
+        error: None,
+    });
+    let report = supervisor.map(&missing, |&col| {
+        if progress.lock().expect("table progress").error.is_some() {
+            return;
         }
-        let wave: Vec<usize> = missing.into_iter().take(wave_size).collect();
-        let report = supervisor.map(&wave, |&col| {
-            let degree = degrees[col];
-            match mode {
-                OracleMode::Pruned => pruned_column(spec, config, durations_min, degree),
-                OracleMode::Exhaustive => exhaustive_column(spec, config, durations_min, degree),
-            }
-        });
-        // Supervisor item indices are wave-local; re-map the first failure
-        // to its column index for the error report.
-        if let Some(first) = report.failures.first() {
-            return Err(SimError::Sweep {
-                item: wave[first.item],
-                attempts: first.attempts,
-                message: first.cause.to_string(),
-            });
-        }
-        let results = report
-            .into_results()
-            .expect("no failures recorded in this wave");
-        for (&col, built) in wave.iter().zip(results) {
-            columns[col] = Some(built);
-        }
-        let ckpt = TableCkpt {
-            columns: columns
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| {
-                    c.as_ref().map(|(bounds, stats)| TableColumnCkpt {
-                        index: i as u64,
-                        bounds: bounds.iter().map(|b| b.as_f64().to_bits()).collect(),
-                        stats: *stats,
-                    })
-                })
-                .collect(),
+        let built = match mode {
+            OracleMode::Pruned => pruned_column(spec, config, durations_min, degrees[col]),
+            // The exhaustive fallback batches each cell's grid but keeps
+            // the historical cell-at-a-time structure.
+            OracleMode::Exhaustive => exhaustive_column(spec, config, durations_min, degrees[col]),
         };
-        store.save(&ckpt)?;
+        let mut guard = progress.lock().expect("table progress");
+        let p = &mut *guard;
+        if p.error.is_some() {
+            return;
+        }
+        p.columns[col] = Some(built);
+        if let Some(store) = p.store.as_deref_mut() {
+            if let Err(e) = store.save(&TableCkpt::of(&p.columns)) {
+                p.error = Some(e);
+            }
+        }
+    });
+    let Progress { columns, error, .. } = progress.into_inner().expect("table progress");
+    if let Some(e) = error {
+        return Err(e);
+    }
+    // Supervisor item indices count the missing columns; report the first
+    // failure by its column index.
+    if let Some(first) = report.failures.first() {
+        return Err(SimError::Sweep {
+            item: missing[first.item],
+            attempts: first.attempts,
+            message: first.cause.to_string(),
+        });
     }
 
-    // Assemble exactly as the plain build: stats merged in ascending
-    // column order, cell order durations-outer / degrees-inner.
+    // Stats merge in ascending column order; table cell order is
+    // durations outer, degrees inner.
     let mut stats = TableBuildStats::default();
     let mut by_column: Vec<Vec<Ratio>> = Vec::with_capacity(degrees.len());
     for col in columns {
-        let (bounds, col_stats) = col.expect("all columns completed above");
+        let (bounds, col_stats) = col.expect("every column built or restored");
         stats.merge(col_stats);
         by_column.push(bounds);
     }

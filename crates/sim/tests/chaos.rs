@@ -14,8 +14,8 @@ use dcs_faults::{ChaosSchedule, FaultSchedule};
 use dcs_power::DataCenterSpec;
 use dcs_sim::{
     build_upper_bound_table_resumable, build_upper_bound_table_stats, oracle_checkpoint_store,
-    oracle_search_resumable, oracle_search_stats, parallel_map, parallel_map_supervised,
-    table_checkpoint_store, OracleMode, RetryPolicy, Scenario, SimError, Supervisor,
+    oracle_search_resumable, oracle_search_stats, parallel_map, table_checkpoint_store,
+    with_worker_budget, OracleMode, RetryPolicy, Scenario, SimError, Supervisor,
 };
 use dcs_units::Seconds;
 use dcs_workload::yahoo_trace;
@@ -49,7 +49,8 @@ fn supervised_map_clean_path_is_bit_identical() {
         (0..100).fold(x as f64, |acc, i| acc + (i as f64).sqrt() * 1e-3)
     };
     let plain = parallel_map(&inputs, f);
-    let supervised = parallel_map_supervised(&inputs, f, RetryPolicy::default())
+    let supervised = Supervisor::new()
+        .map(&inputs, f)
         .into_results()
         .expect("clean run has no failures");
     assert_eq!(
@@ -91,16 +92,14 @@ fn supervised_map_under_random_chaos_is_bit_identical() {
 #[test]
 fn permanent_failure_names_item_and_payload() {
     let inputs: Vec<usize> = (0..12).collect();
-    let report = parallel_map_supervised(
-        &inputs,
-        |&x| {
+    let report = Supervisor::new()
+        .with_retry(RetryPolicy::attempts(2))
+        .map(&inputs, |&x| {
             if x == 9 {
                 panic!("cell 9 diverged");
             }
             x
-        },
-        RetryPolicy::attempts(2),
-    );
+        });
     assert_eq!(report.failures.len(), 1);
     assert_eq!(report.failures[0].item, 9);
     assert_eq!(report.failures[0].attempts, 2);
@@ -124,13 +123,15 @@ fn resumable_oracle_matches_plain_search_clean_and_faulted() {
     ];
     for faults in &schedules {
         for mode in [OracleMode::Pruned, OracleMode::Exhaustive] {
-            let (plain, _) = oracle_search_stats(&s, faults, mode);
+            let (plain, plain_stats) = oracle_search_stats(&s, faults, mode);
             let dir = scratch_dir("oracle-clean");
             let mut store = oracle_checkpoint_store(&dir, &s, faults, mode).unwrap();
             let sup = Supervisor::new();
-            let (resumable, _) =
+            let (resumable, resumable_stats) =
                 oracle_search_resumable(&s, faults, mode, &sup, &mut store).unwrap();
             assert_eq!(plain, resumable, "mode {mode:?}");
+            // Both forms run the same waves through the same batched passes.
+            assert_eq!(plain_stats, resumable_stats, "mode {mode:?}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -141,7 +142,7 @@ fn resumable_oracle_survives_injected_chaos() {
     let s = scenario(3.2, 15.0);
     let faults = FaultSchedule::NONE;
     let (plain, _) = oracle_search_stats(&s, &faults, OracleMode::Pruned);
-    // Chaos: chunk 0 panics once, chunk 1 stalls once; retries recover.
+    // Chaos: wave 0 panics once, wave 1 stalls once; retries recover.
     let chaos = ChaosSchedule::panic_on(0, 0).with(dcs_faults::ChaosEvent {
         item: 1,
         attempt: 0,
@@ -194,7 +195,7 @@ fn oracle_kill_and_resume_at_every_boundary_is_bit_identical() {
         );
         assert!(
             store.saves() < total_saves,
-            "resume must not redo completed chunks (kill {kill_at}: {} vs {total_saves})",
+            "resume must not redo completed waves (kill {kill_at}: {} vs {total_saves})",
             store.saves()
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -247,20 +248,30 @@ fn table_inputs() -> (DataCenterSpec, ControllerConfig) {
 #[test]
 fn resumable_table_matches_plain_build() {
     let (spec, config) = table_inputs();
-    for mode in [OracleMode::Pruned, OracleMode::Exhaustive] {
-        let (want, want_stats) =
-            build_upper_bound_table_stats(&spec, &config, &DURATIONS, &DEGREES, mode);
-        let dir = scratch_dir("table-clean");
-        let mut store =
-            table_checkpoint_store(&dir, &spec, &config, &DURATIONS, &DEGREES, mode).unwrap();
-        let sup = Supervisor::new();
-        let (got, got_stats) = build_upper_bound_table_resumable(
-            &spec, &config, &DURATIONS, &DEGREES, mode, &sup, &mut store,
-        )
-        .unwrap();
-        assert_eq!(want, got, "mode {mode:?}");
-        assert_eq!(want_stats, got_stats, "mode {mode:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
+    for workers in [1, 2] {
+        for mode in [OracleMode::Pruned, OracleMode::Exhaustive] {
+            let (want, want_stats) =
+                build_upper_bound_table_stats(&spec, &config, &DURATIONS, &DEGREES, mode);
+            let dir = scratch_dir("table-clean");
+            let mut store =
+                table_checkpoint_store(&dir, &spec, &config, &DURATIONS, &DEGREES, mode).unwrap();
+            let sup = Supervisor::new();
+            let (got, got_stats) = with_worker_budget(workers, || {
+                build_upper_bound_table_resumable(
+                    &spec, &config, &DURATIONS, &DEGREES, mode, &sup, &mut store,
+                )
+            })
+            .unwrap();
+            assert_eq!(want, got, "{workers} workers, mode {mode:?}");
+            assert_eq!(want_stats, got_stats, "{workers} workers, mode {mode:?}");
+            // One snapshot per column, whatever the worker count.
+            assert_eq!(
+                store.saves(),
+                DEGREES.len() as u64,
+                "{workers} workers, mode {mode:?}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }
 
@@ -311,7 +322,7 @@ fn table_build_survives_chaos_with_retries() {
     let (spec, config) = table_inputs();
     let mode = OracleMode::Pruned;
     let (want, _) = build_upper_bound_table_stats(&spec, &config, &DURATIONS, &DEGREES, mode);
-    // Column 0 and column 2 panic on their first attempt.
+    // Column 0 panics on its first attempt.
     let chaos = ChaosSchedule::panic_on(0, 0);
     let sup = Supervisor::new()
         .with_retry(RetryPolicy::attempts(2))
@@ -420,6 +431,10 @@ fn table_resumable_rejects_descending_axis_before_any_snapshot() {
 
 // --- Randomized soak: chaos + fault schedules, small scale --------------
 
+/// Supervised items in one resumable Oracle search: the coarse wave, the
+/// refinement wave, and the final run of the winner.
+const ORACLE_ITEMS: usize = 3;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -428,9 +443,15 @@ proptest! {
         let s = scenario(3.0, 5.0);
         let faults = FaultSchedule::random(seed, s.trace().duration());
         let (plain, _) = oracle_search_stats(&s, &faults, OracleMode::Pruned);
+        // Every case perturbs at least one item: a draw that leaves all
+        // three clean panics one instead.
+        let mut chaos = ChaosSchedule::random(seed, ORACLE_ITEMS);
+        if chaos.events().is_empty() {
+            chaos = ChaosSchedule::panic_on(seed as usize % ORACLE_ITEMS, 0);
+        }
         let sup = Supervisor::new()
             .with_retry(RetryPolicy::attempts(3))
-            .with_chaos(ChaosSchedule::random(seed, 16));
+            .with_chaos(chaos);
         let dir = scratch_dir("oracle-soak");
         let mut store =
             oracle_checkpoint_store(&dir, &s, &faults, OracleMode::Pruned).unwrap();
