@@ -92,6 +92,15 @@ print("service smoke: 1000 decisions served, zero 5xx")
 EOF
 kill -9 "$svc_pid"
 wait "$svc_pid" 2>/dev/null || true
+# Snapshots hold runtime state only: a v2 tag, and well under 1 KB for
+# this plant (the spec is rebuilt on boot, not stored).
+snap="$(ls "$svc_dir"/state/plant-*/snap-*.json | sort | tail -n 1)"
+grep -q '"schema":"dcs-service/hot-state-v2"' "$snap" \
+  || { echo "service smoke: $snap is not a hot-state-v2 snapshot"; exit 1; }
+snap_bytes="$(wc -c < "$snap")"
+[ "$snap_bytes" -lt 1024 ] \
+  || { echo "service smoke: $snap is $snap_bytes bytes, want < 1024"; exit 1; }
+echo "service smoke: newest snapshot is hot-state-v2, $snap_bytes bytes"
 boot_sprintd
 python3 - "$svc_addr" "$svc_dir/before.json" <<'EOF'
 import http.client, json, sys

@@ -48,6 +48,15 @@ impl std::fmt::Display for TripEvent {
     }
 }
 
+/// The runtime state of one [`CircuitBreaker`]: trip progress and whether
+/// it has opened. Rating, curve and cool-down are fixed at construction
+/// and the derating belongs to whoever owns the breaker, so this pair is
+/// all a checkpoint needs to resume one. Serialized as the two-element
+/// array `[progress, tripped]`, which keeps a snapshot of hundreds of
+/// breakers compact.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct BreakerHotState(pub f64, pub bool);
+
 /// A circuit breaker with inverse-time thermal memory.
 ///
 /// The breaker integrates *trip progress* over time: an interval `dt` spent
@@ -73,7 +82,7 @@ impl std::fmt::Display for TripEvent {
 /// assert!((cb.remaining_time_at(load).as_minutes() - 2.0).abs() < 1e-9);
 /// assert!(!cb.is_tripped());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     name: String,
     rated: Power,
@@ -90,15 +99,13 @@ pub struct CircuitBreaker {
     /// bits. Every cooling step of a fixed-`dt` simulation reuses one
     /// transcendental; the stored bits are exactly what a fresh evaluation
     /// would produce, so hits are bit-identical. Derived state: not
-    /// serialized, not compared, invalidated when the cool-down changes.
-    #[serde(skip)]
+    /// compared, invalidated when the cool-down changes.
     cool_memo: Option<(u64, f64)>,
     /// Memoized cold-start trip time keyed by the load bits. Plateau
     /// overloads re-ask the same inverse-time curve point every step; the
     /// key covers the only varying input (`derating` invalidates, `rated`
     /// and `curve` are fixed after construction). Derived state, like
     /// `cool_memo`.
-    #[serde(skip)]
     trip_memo: Option<(u64, Seconds)>,
 }
 
@@ -382,30 +389,22 @@ impl CircuitBreaker {
         Ok(None)
     }
 
-    /// Returns `true` if `other` would respond identically to any applied
-    /// load: same rating, trip curve, cool-down, derating, and thermal
-    /// state. Names may differ — this is electrical/thermal equivalence,
-    /// not identity.
-    ///
-    /// Uniform-load fast paths use this to advance one representative
-    /// breaker and replicate the outcome across equivalent siblings.
+    /// Exports the breaker's runtime state: trip progress and the open
+    /// flag.
     #[must_use]
-    pub fn behaves_like(&self, other: &CircuitBreaker) -> bool {
-        self.rated == other.rated
-            && self.curve == other.curve
-            && self.cooldown == other.cooldown
-            && self.derating == other.derating
-            && self.state == other.state
-            && self.tripped == other.tripped
+    pub fn export_hot_state(&self) -> BreakerHotState {
+        BreakerHotState(self.state, self.tripped)
     }
 
-    /// Copies the thermal state (trip progress and open/closed flag) from
-    /// another breaker. The counterpart of [`CircuitBreaker::behaves_like`]:
-    /// after a representative breaker takes a load step, its equivalent
-    /// siblings adopt the resulting state without re-integrating it.
-    pub fn sync_state_from(&mut self, other: &CircuitBreaker) {
-        self.state = other.state;
-        self.tripped = other.tripped;
+    /// Adopts runtime state exported by
+    /// [`export_hot_state`](Self::export_hot_state) — from a checkpoint,
+    /// or from a sibling of equal rating, curve, cool-down and derating,
+    /// after which the two respond identically to any load. The uniform
+    /// fast path uses the latter to advance one representative PDU
+    /// breaker and copy the outcome to the rest.
+    pub fn import_hot_state(&mut self, hot: BreakerHotState) {
+        self.state = hot.0;
+        self.tripped = hot.1;
     }
 
     /// Closes a tripped breaker again and clears its thermal state.
@@ -614,33 +613,19 @@ mod tests {
     }
 
     #[test]
-    fn behaves_like_ignores_name_but_not_state() {
+    fn imported_state_evolves_like_the_exporter() {
         let mut a = CircuitBreaker::new("a", Power::from_watts(100.0), TripCurve::bulletin_1489());
         let mut b = CircuitBreaker::new("b", Power::from_watts(100.0), TripCurve::bulletin_1489());
-        assert!(a.behaves_like(&b));
-        let load = Power::from_watts(160.0);
-        a.apply_load(load, Seconds::new(10.0)).unwrap();
-        assert!(!a.behaves_like(&b));
-        b.apply_load(load, Seconds::new(10.0)).unwrap();
-        assert!(a.behaves_like(&b));
-        b.set_derating(0.9);
-        assert!(!a.behaves_like(&b));
-    }
-
-    #[test]
-    fn sync_state_matches_independent_integration() {
-        let mut a = cb(100.0);
-        let mut b = cb(100.0);
         let load = Power::from_watts(160.0);
         a.apply_load(load, Seconds::new(25.0)).unwrap();
-        b.sync_state_from(&a);
-        assert!(b.behaves_like(&a));
-        // From here the two evolve identically.
+        b.import_hot_state(a.export_hot_state());
+        assert_eq!(b.export_hot_state(), a.export_hot_state());
+        // From here the two evolve identically, names aside.
         let ea = a.apply_load(load, Seconds::new(60.0)).unwrap();
         let eb = b.apply_load(load, Seconds::new(60.0)).unwrap();
         assert_eq!(ea.map(|e| e.after), eb.map(|e| e.after));
-        assert_eq!(a.trip_progress(), b.trip_progress());
-        assert_eq!(a.is_tripped(), b.is_tripped());
+        assert_eq!(a.export_hot_state(), BreakerHotState(1.0, true));
+        assert_eq!(b.export_hot_state(), a.export_hot_state());
     }
 
     #[test]

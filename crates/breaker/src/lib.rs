@@ -47,5 +47,5 @@ mod breaker;
 mod curve;
 pub mod sizing;
 
-pub use breaker::{BreakerError, CircuitBreaker, TripEvent};
+pub use breaker::{BreakerError, BreakerHotState, CircuitBreaker, TripEvent};
 pub use curve::TripCurve;

@@ -12,10 +12,10 @@ use crate::budget::cb_overload_energy;
 use crate::kernel::StepState;
 use crate::{Phase, ShedReason, StepRecord};
 use dcs_faults::{ActiveFaults, Observation};
-use dcs_power::{DataCenterSpec, PowerTopology};
-use dcs_thermal::{CoolingPlant, RoomModel, TesTank};
-use dcs_units::{Energy, Power, Ratio, Seconds, TempDelta};
-use dcs_ups::UpsFleet;
+use dcs_power::{DataCenterSpec, PowerTopology, TopologyHotState};
+use dcs_thermal::{CoolingPlant, RoomModel, TesHotState, TesTank};
+use dcs_units::{Celsius, Energy, Power, Ratio, Seconds, TempDelta};
+use dcs_ups::{UpsFleet, UpsHotState};
 use serde::{Deserialize, Serialize};
 
 use crate::ControllerConfig;
@@ -126,31 +126,36 @@ pub struct StepEffects {
 }
 
 /// The mutable ("hot") part of a [`FacilityState`], detached from the
-/// borrowed spec/config: every stateful plant model plus the clock,
-/// exogenous conditions, and energy ledgers. Everything a live service
-/// must persist to resume a facility bit-identically after a crash —
-/// breaker thermal memory, UPS and TES charge, room temperature — and
-/// nothing that is derivable from the spec.
+/// borrowed spec/config: the runtime state of every stateful plant model
+/// plus the clock, exogenous conditions, and energy ledgers. Everything a
+/// live service must persist to resume a facility bit-identically after a
+/// crash — breaker thermal memory, UPS and TES charge, room temperature —
+/// and nothing the spec or configuration fixes (breaker names, ratings
+/// and curves, battery chemistry and capacity, tank size, room
+/// calibration) or that every step re-derives from its input before
+/// reading it (the applied fault deratings' cache, the thermal reading
+/// margin). Restoring rebuilds the plant from the spec with
+/// [`FacilityState::new`] and applies this state on top.
 ///
 /// Serialization round-trips every `f64` exactly (the JSON layer emits
 /// shortest-roundtrip literals), so `export → serialize → deserialize →
 /// import` reproduces the facility bit for bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FacilityHotState {
-    /// Breaker topology, including per-breaker trip progress and deratings.
-    pub topology: PowerTopology,
-    /// UPS fleet: aggregate charge, on-battery count, deratings.
-    pub ups: UpsFleet,
+    /// Breaker hierarchy: PDU count, trip progress, open flags, derating;
+    /// a uniform hierarchy stores its PDU state once.
+    pub topology: TopologyHotState,
+    /// UPS fleet: aggregate charge and cycle accounting, on-battery
+    /// count, deratings.
+    pub ups: UpsHotState,
     /// TES tank: stored heat capacity and deratings.
-    pub tes: TesTank,
-    /// Room model: current air temperature.
-    pub room: RoomModel,
+    pub tes: TesHotState,
+    /// Room air temperature.
+    pub room_temperature: Celsius,
     /// The facility clock.
     pub now: Seconds,
     /// Exogenous DC-level load in force.
     pub external_load: Power,
-    /// Pessimistic thermal reading margin in force.
-    pub thermal_bias: TempDelta,
     /// Lifetime UPS additional energy.
     pub ups_energy: Energy,
     /// Lifetime heat absorbed by the TES.
@@ -547,19 +552,18 @@ impl<'a> FacilityState<'a> {
         }
     }
 
-    /// Exports the facility's mutable state — plant models, clock,
-    /// exogenous conditions, energy ledgers — as a serializable snapshot.
-    /// See [`FacilityHotState`].
+    /// Exports the facility's mutable state — plant models' runtime
+    /// state, clock, exogenous conditions, energy ledgers — as a
+    /// serializable snapshot. See [`FacilityHotState`].
     #[must_use]
     pub fn export_hot_state(&self) -> FacilityHotState {
         FacilityHotState {
-            topology: self.topo.clone(),
-            ups: self.ups.clone(),
-            tes: self.tes.clone(),
-            room: self.room.clone(),
+            topology: self.topo.export_hot_state(),
+            ups: self.ups.export_hot_state(),
+            tes: self.tes.export_hot_state(),
+            room_temperature: self.room.temperature(),
             now: self.now,
             external_load: self.external_load,
-            thermal_bias: self.thermal_bias,
             ups_energy: self.ups_energy,
             tes_heat_energy: self.tes_heat_energy,
             tes_savings_energy: self.tes_savings_energy,
@@ -567,40 +571,28 @@ impl<'a> FacilityState<'a> {
         }
     }
 
-    /// Replaces the facility's mutable state with a previously exported
-    /// snapshot. The counterpart of
-    /// [`export_hot_state`](Self::export_hot_state): on a facility built
-    /// from the same spec and configuration, importing an export restores
-    /// behavior bit-identically (the snapshot holds every stateful model;
-    /// everything else is derived from the borrowed spec).
+    /// Applies a previously exported snapshot to this facility's plant.
+    /// The counterpart of [`export_hot_state`](Self::export_hot_state): on
+    /// a facility built from the same spec and configuration, importing an
+    /// export restores behavior bit-identically (the snapshot holds every
+    /// runtime value; everything else is rebuilt from the borrowed spec).
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's topology or UPS fleet geometry does not
-    /// match this facility's spec — a snapshot from a differently sized
-    /// facility cannot be meaningfully imported.
+    /// Panics if the snapshot was exported from a facility with a
+    /// different PDU count — a snapshot from a differently sized facility
+    /// cannot be meaningfully imported — or holds out-of-range deratings.
     pub fn import_hot_state(&mut self, hot: FacilityHotState) {
-        assert_eq!(
-            hot.topology.pdu_count(),
-            self.topo.pdu_count(),
-            "hot state was exported from a facility with a different PDU count"
-        );
-        assert_eq!(
-            hot.ups.units(),
-            self.ups.units(),
-            "hot state was exported from a facility with a different UPS fleet"
-        );
-        self.topo = hot.topology;
-        self.ups = hot.ups;
-        self.tes = hot.tes;
-        self.room = hot.room;
+        self.topo.import_hot_state(hot.topology);
+        self.ups.import_hot_state(hot.ups);
+        self.tes.import_hot_state(hot.tes);
+        self.room.restore_temperature(hot.room_temperature);
         // The restored components carry their own derating factors; the
         // next `prepare` must re-apply rather than trust this facility's
         // pre-import skip cache.
         self.applied_deratings = None;
         self.now = hot.now;
         self.external_load = hot.external_load;
-        self.thermal_bias = hot.thermal_bias;
         self.ups_energy = hot.ups_energy;
         self.tes_heat_energy = hot.tes_heat_energy;
         self.tes_savings_energy = hot.tes_savings_energy;

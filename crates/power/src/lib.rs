@@ -37,4 +37,4 @@ mod spec;
 mod topology;
 
 pub use spec::DataCenterSpec;
-pub use topology::{PowerTopology, TopologyCaps, TopologyStatus};
+pub use topology::{PowerTopology, TopologyCaps, TopologyHotState, TopologyStatus};

@@ -1,7 +1,7 @@
 //! The stateful breaker hierarchy.
 
 use crate::DataCenterSpec;
-use dcs_breaker::{CircuitBreaker, TripEvent};
+use dcs_breaker::{BreakerHotState, CircuitBreaker, TripEvent};
 use dcs_units::{Power, Seconds};
 use serde::{Deserialize, Serialize};
 
@@ -29,6 +29,25 @@ pub struct TopologyStatus {
     pub tripped_pdus: usize,
 }
 
+/// The runtime state of a [`PowerTopology`], for checkpoints: what changes
+/// after [`PowerTopology::new`] and nothing the spec fixes (names,
+/// ratings, curves, cool-downs). Restored onto a hierarchy rebuilt from
+/// the same spec by [`PowerTopology::import_hot_state`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TopologyHotState {
+    /// PDU breakers in the exporting hierarchy.
+    pub pdu_count: usize,
+    /// The fault derating in force on every breaker
+    /// ([`PowerTopology::set_breaker_derating`] is its only writer).
+    pub derating: f64,
+    /// The DC-level breaker.
+    pub dc: BreakerHotState,
+    /// The PDU breakers. A single entry stands for all of them and
+    /// carries the uniform fast-path flag: the exporter's PDUs were in
+    /// lock-step. Otherwise there is one entry per PDU, in order.
+    pub pdus: Vec<BreakerHotState>,
+}
+
 /// The two-level breaker hierarchy: one DC-level breaker over `pdu_count`
 /// PDU breakers.
 ///
@@ -52,31 +71,30 @@ pub struct TopologyStatus {
 /// let events = topo.step_uniform(spec.peak_normal_pdu_power(), Power::ZERO, Seconds::new(1.0));
 /// assert!(events.is_empty());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerTopology {
     dc: CircuitBreaker,
     pdus: Vec<CircuitBreaker>,
-    /// Cached result of [`PowerTopology::pdus_equivalent`]: `true` means
-    /// every PDU breaker provably responds identically to the same load,
-    /// so the uniform fast paths may skip the O(#PDUs) equivalence scan —
-    /// the scan that would otherwise dominate every step of a
-    /// thousands-of-PDUs facility. `false` is always safe (the slow paths
-    /// recheck), so the flag is conservative: heterogeneous stepping
-    /// clears it and only a fresh scan sets it again.
+    /// `true` means every PDU breaker provably responds identically to the
+    /// same load (same rating, curve, cool-down, derating and thermal
+    /// state as the first), so the uniform fast paths may advance or read
+    /// one representative instead of visiting all — the O(#PDUs) loop
+    /// that would otherwise dominate every step of a thousands-of-PDUs
+    /// facility. `false` is always safe (the slow paths visit every
+    /// breaker), so the flag is conservative: heterogeneous stepping
+    /// clears it and only [`PowerTopology::new`] or
+    /// [`PowerTopology::reset`] sets it again.
     ///
-    /// Derived state: round-tripped through serde so a resumed checkpoint
-    /// takes exactly the exporting run's fast/slow paths (snapshots that
-    /// predate the field default to the safe `false`; call
-    /// [`PowerTopology::refresh_uniform`] to re-arm), and ignored by
-    /// `PartialEq` — two topologies that answer every load identically are
-    /// equal regardless of which path they take to the answer.
-    #[serde(default)]
+    /// Derived state: carried by [`TopologyHotState`] so a resumed
+    /// checkpoint takes exactly the exporting run's fast/slow paths, and
+    /// ignored by `PartialEq` — two topologies that answer every load
+    /// identically are equal regardless of which path they take to the
+    /// answer.
     uniform: bool,
     /// Memoized [`PowerTopology::caps`] result for
     /// [`PowerTopology::caps_cached`], keyed on every input the uniform
-    /// caps computation reads. Derived state: never serialized, never
+    /// caps computation reads. Derived state: never checkpointed, never
     /// compared; a stale key simply misses and recomputes.
-    #[serde(skip)]
     caps_memo: Option<CapsMemo>,
 }
 
@@ -127,12 +145,56 @@ impl PowerTopology {
         }
     }
 
-    /// Rescans the PDU breakers and caches whether they are all
-    /// equivalent, re-arming the uniform fast paths. Useful after restoring
-    /// a hand-written or pre-flag snapshot, where deserialization defaults
-    /// the cached flag to the safe-but-slow `false`.
-    pub fn refresh_uniform(&mut self) {
-        self.uniform = self.pdus_equivalent();
+    /// Exports the hierarchy's runtime state. A uniform hierarchy stores
+    /// its PDU state once, so the snapshot's size does not grow with the
+    /// PDU count on the common path. (A single-PDU hierarchy therefore
+    /// restores as uniform either way; with one PDU the fast and slow
+    /// paths give the same answers.)
+    #[must_use]
+    pub fn export_hot_state(&self) -> TopologyHotState {
+        let pdus = if self.uniform {
+            &self.pdus[..1]
+        } else {
+            &self.pdus[..]
+        };
+        TopologyHotState {
+            pdu_count: self.pdus.len(),
+            derating: self.dc.derating(),
+            dc: self.dc.export_hot_state(),
+            pdus: pdus.iter().map(CircuitBreaker::export_hot_state).collect(),
+        }
+    }
+
+    /// Restores runtime state exported by
+    /// [`export_hot_state`](Self::export_hot_state) from a hierarchy
+    /// built from the same spec. Afterwards this hierarchy answers every
+    /// load, and takes every fast or slow path, exactly as the exporter
+    /// would have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's PDU count differs from this hierarchy's,
+    /// it holds neither one PDU entry nor one per PDU, or its derating is
+    /// outside `(0, 1]`.
+    pub fn import_hot_state(&mut self, hot: TopologyHotState) {
+        assert_eq!(
+            hot.pdu_count,
+            self.pdus.len(),
+            "hot state was exported from a facility with a different PDU count"
+        );
+        let uniform = hot.pdus.len() == 1 && hot.pdu_count > 0;
+        assert!(
+            uniform || hot.pdus.len() == hot.pdu_count,
+            "hot state holds {} entries for {} PDUs",
+            hot.pdus.len(),
+            hot.pdu_count
+        );
+        self.set_breaker_derating(hot.derating);
+        self.dc.import_hot_state(hot.dc);
+        for (i, pdu) in self.pdus.iter_mut().enumerate() {
+            pdu.import_hot_state(hot.pdus[if uniform { 0 } else { i }]);
+        }
+        self.uniform = uniform;
     }
 
     /// Returns the DC-level breaker.
@@ -233,15 +295,6 @@ impl PowerTopology {
         caps
     }
 
-    /// Returns `true` if every PDU breaker would respond identically to the
-    /// same load (equal rating, curve, derating, and thermal state).
-    fn pdus_equivalent(&self) -> bool {
-        match self.pdus.split_first() {
-            Some((first, rest)) => rest.iter().all(|b| b.behaves_like(first)),
-            None => false,
-        }
-    }
-
     /// Returns the maximum *uniform* per-PDU IT power that honors both the
     /// PDU caps and the parent DC cap once `cooling` is accounted for —
     /// the paper's invariant that child overloads never trip the parent.
@@ -284,10 +337,11 @@ impl PowerTopology {
                 let outcome = first
                     .apply_load(per_pdu_it, dt)
                     .expect("non-tripped breaker");
+                let state = first.export_hot_state();
                 match outcome {
                     Some(ev) => {
                         for pdu in rest.iter_mut() {
-                            pdu.sync_state_from(first);
+                            pdu.import_hot_state(state);
                         }
                         let rest_events = self.pdus[1..].iter().map(|pdu| TripEvent {
                             name: pdu.name().to_owned(),
@@ -302,7 +356,7 @@ impl PowerTopology {
                         // DC-breaker load bit-identical to the general path.
                         delivered += per_pdu_it;
                         for pdu in rest.iter_mut() {
-                            pdu.sync_state_from(first);
+                            pdu.import_hot_state(state);
                             delivered += per_pdu_it;
                         }
                     }
@@ -624,6 +678,69 @@ mod tests {
             topo.caps(Seconds::new(60.0)),
             reference.caps(Seconds::new(60.0))
         );
+    }
+
+    /// `export → JSON → import` onto a fresh hierarchy, as a checkpoint
+    /// restore does.
+    fn restored(topo: &PowerTopology, spec: &DataCenterSpec) -> PowerTopology {
+        let json = serde_json::to_string(&topo.export_hot_state()).expect("encode");
+        let mut fresh = PowerTopology::new(spec);
+        fresh.import_hot_state(serde_json::from_str(&json).expect("decode"));
+        fresh
+    }
+
+    #[test]
+    fn non_uniform_hot_state_round_trips_bit_identically() {
+        let spec = DataCenterSpec::paper_default().with_scale(256, 20);
+        let mut topo = PowerTopology::new(&spec);
+        topo.set_breaker_derating(0.9);
+        let rated = spec.pdu_rated();
+        // Unequal overloads: every PDU ends at its own trip progress.
+        let loads: Vec<Power> = (0..spec.pdu_count())
+            .map(|i| rated * (1.2 + i as f64 * 1e-3))
+            .collect();
+        topo.step_loads(&loads, Power::ZERO, Seconds::new(7.0));
+        assert!(!topo.uniform);
+
+        let hot = topo.export_hot_state();
+        assert_eq!(hot.pdus.len(), spec.pdu_count());
+        let bytes = serde_json::to_string(&hot).expect("encode").len();
+        assert!(
+            bytes <= 8 * 1024,
+            "non-uniform 256-PDU hot state is {bytes} B"
+        );
+
+        let mut back = restored(&topo, &spec);
+        assert!(!back.uniform, "the slow path survives the round trip");
+        assert_eq!(back, topo);
+        // The continuation trips the same breakers at the same instants
+        // and leaves the same progress bits behind.
+        for _ in 0..400 {
+            let a = topo.step_uniform(rated * 1.3, Power::ZERO, Seconds::new(1.0));
+            let b = back.step_uniform(rated * 1.3, Power::ZERO, Seconds::new(1.0));
+            assert_eq!(a, b);
+        }
+        assert!(topo.status().any_tripped, "the continuation reaches trips");
+        let bits = |t: &PowerTopology| -> Vec<(u64, bool)> {
+            t.pdu_breakers()
+                .iter()
+                .map(|b| (b.trip_progress().to_bits(), b.is_tripped()))
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&topo));
+        assert!(!back.uniform);
+    }
+
+    #[test]
+    fn uniform_hot_state_stores_one_pdu() {
+        let spec = DataCenterSpec::paper_default().with_scale(256, 20);
+        let mut topo = PowerTopology::new(&spec);
+        topo.step_uniform(spec.pdu_rated() * 1.3, Power::ZERO, Seconds::new(9.0));
+        let hot = topo.export_hot_state();
+        assert_eq!((hot.pdu_count, hot.pdus.len()), (256, 1));
+        let back = restored(&topo, &spec);
+        assert!(back.uniform);
+        assert_eq!(back, topo);
     }
 
     #[test]

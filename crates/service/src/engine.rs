@@ -30,6 +30,7 @@ use dcs_faults::{ChaosKind, ChaosSchedule};
 use dcs_power::DataCenterSpec;
 use dcs_sim::{CheckpointStore, SimError};
 use dcs_units::Seconds;
+use serde::Deserialize;
 
 use crate::config::ServiceConfig;
 use crate::hot::{ServiceHotState, HOT_STATE_KIND, HOT_STATE_SCHEMA};
@@ -329,6 +330,12 @@ impl Shared {
 /// and loads the newest intact snapshot. Each plant fingerprint gets its
 /// own subdirectory, so a rebuild onto a different plant neither clashes
 /// with nor clobbers the old plant's snapshots.
+///
+/// Corrupt snapshots skipped on the way to the newest intact one are
+/// reported on stderr. A snapshot of another hot-state schema is an
+/// error, not a fresh start: its tag is read before its body is decoded,
+/// so a schema change can never turn old snapshots into silently skipped
+/// "undecodable" ones (which the next saves would then prune).
 pub fn open_store(
     state_dir: &Path,
     config: &ServiceConfig,
@@ -336,20 +343,49 @@ pub fn open_store(
     let fingerprint = config.plant_fingerprint();
     let dir = state_dir.join(format!("plant-{fingerprint:016x}"));
     let store = CheckpointStore::open(&dir, HOT_STATE_KIND, fingerprint)?;
-    let restored = match store.load_latest::<ServiceHotState>()? {
-        Some(loaded) => {
-            if loaded.payload.schema != HOT_STATE_SCHEMA {
-                return Err(SimError::service(format!(
-                    "unsupported hot-state schema {:?} in {}",
-                    loaded.payload.schema,
-                    dir.display()
-                )));
-            }
-            Some(loaded.payload)
-        }
-        None => None,
+    let Some(loaded) = store.load_latest::<serde_json::Value>()? else {
+        return Ok((store, None));
     };
-    Ok((store, restored))
+    for skipped in &loaded.skipped {
+        eprintln!(
+            "sprintd: skipped snapshot {}: {}",
+            skipped.path, skipped.reason
+        );
+    }
+    let schema = loaded
+        .payload
+        .get("schema")
+        .and_then(serde_json::Value::as_str)
+        .unwrap_or_default();
+    if schema != HOT_STATE_SCHEMA {
+        return Err(SimError::service(format!(
+            "unsupported hot-state schema {schema:?} in {}",
+            dir.display()
+        )));
+    }
+    let hot = ServiceHotState::from_value(&loaded.payload).map_err(|e| {
+        SimError::service(format!(
+            "undecodable {HOT_STATE_SCHEMA} snapshot {} in {}: {e}",
+            loaded.seq,
+            dir.display()
+        ))
+    })?;
+    Ok((store, Some(hot)))
+}
+
+/// Saves the plant's hot state after `decisions` decisions.
+fn checkpoint(
+    store: &mut CheckpointStore,
+    decisions: u64,
+    facility: &FacilityState<'_>,
+    policy: &SprintPolicy,
+) -> Result<(), SimError> {
+    store.save(&ServiceHotState {
+        schema: HOT_STATE_SCHEMA.to_string(),
+        decisions,
+        facility: facility.export_hot_state(),
+        policy: policy.export_hot_state(),
+    })
 }
 
 /// Refreshes the published engine snapshot in [`Shared::status`] in
@@ -534,13 +570,8 @@ pub fn run_engine(
                             dirty = true;
                             if decisions.is_multiple_of(config.checkpoint_every()) {
                                 if let Some(store) = store.as_mut() {
-                                    let hot = ServiceHotState {
-                                        schema: HOT_STATE_SCHEMA.to_string(),
-                                        decisions,
-                                        facility: facility.export_hot_state(),
-                                        policy: policy.export_hot_state(),
-                                    };
-                                    if let Err(e) = store.save(&hot) {
+                                    if let Err(e) = checkpoint(store, decisions, &facility, &policy)
+                                    {
                                         eprintln!("sprintd: checkpoint failed: {e}");
                                     } else {
                                         dirty = false;
@@ -612,13 +643,7 @@ pub fn run_engine(
                 EngineMsg::Drain { reply } => {
                     if dirty {
                         if let Some(store) = store.as_mut() {
-                            let hot = ServiceHotState {
-                                schema: HOT_STATE_SCHEMA.to_string(),
-                                decisions,
-                                facility: facility.export_hot_state(),
-                                policy: policy.export_hot_state(),
-                            };
-                            if let Err(e) = store.save(&hot) {
+                            if let Err(e) = checkpoint(store, decisions, &facility, &policy) {
                                 eprintln!("sprintd: final checkpoint failed: {e}");
                             }
                         }

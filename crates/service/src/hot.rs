@@ -1,19 +1,26 @@
 //! Crash-safe hot state: what the service persists between decisions.
 //!
 //! Every `checkpoint_every` decisions the engine snapshots the facility's
-//! mutable state ([`dcs_core::FacilityHotState`]: breaker thermal memory,
+//! runtime state ([`dcs_core::FacilityHotState`]: breaker thermal memory,
 //! UPS and TES charge, room temperature, ledgers) and the policy's sprint
 //! lifecycle ([`dcs_core::PolicyHotState`]) into a
 //! [`dcs_sim::CheckpointStore`] — atomic tmp+rename snapshots with
 //! checksums, so a `kill -9` mid-save leaves the previous snapshot
-//! intact. On boot the newest intact snapshot is imported and the
-//! facility resumes bit-identically.
+//! intact. On boot the engine rebuilds the plant from the spec and
+//! imports the newest intact snapshot on top, and the facility resumes
+//! bit-identically.
+//!
+//! A snapshot holds only what changes at run time. Everything the spec
+//! fixes (breaker names, ratings and curves, battery and tank sizes) is
+//! rebuilt, and the store's plant fingerprint ties each snapshot to its
+//! spec. A uniform breaker hierarchy stores its PDU state once, so a
+//! snapshot stays under 1 KB whatever the PDU count.
 
 use dcs_core::{FacilityHotState, PolicyHotState};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag for service hot-state snapshots.
-pub const HOT_STATE_SCHEMA: &str = "dcs-service/hot-state-v1";
+pub const HOT_STATE_SCHEMA: &str = "dcs-service/hot-state-v2";
 
 /// The checkpoint kind recorded in every snapshot header.
 pub const HOT_STATE_KIND: &str = "dcs-service/hot-state";
@@ -92,6 +99,28 @@ mod tests {
                 "step {i} diverged after restore"
             );
         }
+    }
+
+    #[test]
+    fn uniform_snapshot_is_small_at_any_pdu_count() {
+        let spec = DataCenterSpec::paper_default().with_scale(256, 20);
+        let config = ControllerConfig::default();
+        let mut facility = FacilityState::new(&spec, &config);
+        let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
+        for i in 0..40 {
+            let demand = if (10..30).contains(&i) { 2.6 } else { 0.6 };
+            let input = StepInput::nominal(facility.now(), demand, Seconds::new(1.0));
+            step_cycle(&mut facility, &mut policy, &input, &mut NullSink);
+        }
+        let hot = ServiceHotState {
+            schema: HOT_STATE_SCHEMA.to_string(),
+            decisions: 40,
+            facility: facility.export_hot_state(),
+            policy: policy.export_hot_state(),
+        };
+        assert_eq!(hot.facility.topology.pdus.len(), 1);
+        let bytes = serde_json::to_string(&hot).unwrap().len();
+        assert!(bytes <= 1024, "256-PDU snapshot is {bytes} B");
     }
 
     #[test]

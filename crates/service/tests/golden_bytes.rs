@@ -209,8 +209,8 @@ fn hot_state_bytes() {
     assert_digest(
         "ServiceHotState",
         &compact(&plant.hot),
-        1725,
-        0x74d1_404f_6139_3a2a,
+        861,
+        0xf15b_ed38_104d_5388,
     );
 }
 

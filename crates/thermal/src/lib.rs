@@ -50,4 +50,4 @@ mod tes;
 
 pub use plant::{CoolingPlant, CHILLER_SHARE};
 pub use room::{tes_activation_deadline, RoomModel};
-pub use tes::TesTank;
+pub use tes::{TesHotState, TesTank};

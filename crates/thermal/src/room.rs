@@ -1,7 +1,6 @@
 //! Lumped-capacitance room temperature model and the TES scheduling rule.
 
 use dcs_units::{Celsius, Power, Seconds, TempDelta};
-use serde::{Deserialize, Serialize};
 
 /// Returns the paper's TES activation deadline:
 /// `5 min × (peak normal server power ÷ max additional server power)`.
@@ -81,7 +80,7 @@ pub fn tes_activation_deadline(peak_normal: Power, max_additional: Power) -> Sec
 /// room.step(p0, Power::ZERO, Seconds::from_minutes(2.0));
 /// assert!(room.is_over_threshold());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoomModel {
     /// Thermal capacitance in joules per kelvin.
     capacitance: f64,
@@ -146,6 +145,13 @@ impl RoomModel {
     #[must_use]
     pub fn temperature(&self) -> Celsius {
         self.temperature
+    }
+
+    /// Restores a temperature read from
+    /// [`temperature`](Self::temperature) — the room's only runtime state —
+    /// when resuming from a checkpoint.
+    pub fn restore_temperature(&mut self, temperature: Celsius) {
+        self.temperature = temperature;
     }
 
     /// Returns the setpoint the room cools back to.

@@ -3,6 +3,19 @@
 use dcs_units::{Energy, Power, Ratio, Seconds};
 use serde::{Deserialize, Serialize};
 
+/// The runtime state of a [`TesTank`], for checkpoints: its stored heat
+/// budget and fault derates. Capacity and flow limit are fixed at
+/// construction.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct TesHotState {
+    /// Remaining heat-absorption budget.
+    pub stored: Energy,
+    /// Fault injection: absorption-rate factor.
+    pub rate_factor: f64,
+    /// Fault injection: accessible-capacity factor.
+    pub capacity_factor: f64,
+}
+
 /// A thermal energy storage tank holding cold coolant.
 ///
 /// Capacity is expressed as the *heat* the tank can absorb before its
@@ -25,7 +38,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(absorbed.as_megawatts(), 10.0);
 /// assert!((tes.state_of_charge().as_f64() - 0.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TesTank {
     capacity: Energy,
     stored: Energy,
@@ -190,6 +203,28 @@ impl TesTank {
         let taken = wanted.min(self.usable_stored());
         self.stored -= taken;
         taken / dt
+    }
+
+    /// Exports the tank's runtime state, for checkpoints.
+    #[must_use]
+    pub fn export_hot_state(&self) -> TesHotState {
+        TesHotState {
+            stored: self.stored,
+            rate_factor: self.rate_factor,
+            capacity_factor: self.capacity_factor,
+        }
+    }
+
+    /// Restores runtime state exported by
+    /// [`export_hot_state`](Self::export_hot_state) from a tank of the
+    /// same size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either derate is outside `(0, 1]`.
+    pub fn import_hot_state(&mut self, hot: TesHotState) {
+        self.stored = hot.stored;
+        self.set_derating(hot.rate_factor, hot.capacity_factor);
     }
 
     /// Re-chills the tank at `rate` for `dt` (chiller overproduction),

@@ -4,6 +4,20 @@ use crate::Chemistry;
 use dcs_units::{Charge, Energy, Power, Ratio, Seconds};
 use serde::{Deserialize, Serialize};
 
+/// The runtime state of a [`Battery`], for checkpoints: its charge and
+/// cycle accounting. Chemistry and capacity are fixed at construction.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct BatteryHotState {
+    /// Stored energy.
+    pub stored: Energy,
+    /// Cumulative energy drawn from the cells.
+    pub throughput: Energy,
+    /// Discharge events so far.
+    pub discharge_events: u32,
+    /// Whether the battery was discharging at the last step.
+    pub discharging: bool,
+}
+
 /// A UPS battery with state of charge and cycle accounting.
 ///
 /// Energy accounting is done at the output terminals: [`Battery::discharge`]
@@ -23,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.as_watts(), 55.0);
 /// assert!(b.state_of_charge().as_f64() > 0.4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
     chemistry: Chemistry,
     capacity: Energy,
@@ -202,6 +216,26 @@ impl Battery {
     #[must_use]
     pub fn discharge_events(&self) -> u32 {
         self.discharge_events
+    }
+
+    /// Exports the battery's runtime state, for checkpoints.
+    #[must_use]
+    pub fn export_hot_state(&self) -> BatteryHotState {
+        BatteryHotState {
+            stored: self.stored,
+            throughput: self.throughput,
+            discharge_events: self.discharge_events,
+            discharging: self.discharging,
+        }
+    }
+
+    /// Restores runtime state exported by
+    /// [`export_hot_state`](Self::export_hot_state).
+    pub fn import_hot_state(&mut self, hot: BatteryHotState) {
+        self.stored = hot.stored;
+        self.throughput = hot.throughput;
+        self.discharge_events = hot.discharge_events;
+        self.discharging = hot.discharging;
     }
 
     /// Returns `true` if `events_per_month` discharge events of

@@ -1,6 +1,6 @@
 //! Coordinated per-server UPS fleet.
 
-use crate::{Battery, Chemistry};
+use crate::{Battery, BatteryHotState, Chemistry};
 use dcs_units::{Energy, Power, Ratio, Seconds};
 use serde::{Deserialize, Serialize};
 
@@ -15,6 +15,22 @@ pub struct FleetStatus {
     pub state_of_charge: Ratio,
     /// Aggregate energy still deliverable to loads.
     pub deliverable: Energy,
+}
+
+/// The runtime state of a [`UpsFleet`], for checkpoints: the aggregate
+/// battery's charge and cycle accounting, the on-battery headcount and the
+/// fault derates. Unit count, chemistry and capacity are fixed at
+/// construction.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct UpsHotState {
+    /// The aggregate battery.
+    pub battery: BatteryHotState,
+    /// Servers drawing from battery at the last step.
+    pub on_battery: usize,
+    /// Fault injection: fraction of strings online.
+    pub available_fraction: f64,
+    /// Fault injection: capacity-fade factor on surviving strings.
+    pub capacity_factor: f64,
 }
 
 /// A fleet of identical per-server UPS batteries under coordinated control.
@@ -42,7 +58,7 @@ pub struct FleetStatus {
 /// assert!(off.as_watts() >= 1000.0);
 /// assert_eq!(fleet.status().on_battery, 19);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpsFleet {
     aggregate: Battery,
     units: usize,
@@ -206,6 +222,31 @@ impl UpsFleet {
             state_of_charge: self.state_of_charge(),
             deliverable: self.deliverable(),
         }
+    }
+
+    /// Exports the fleet's runtime state, for checkpoints.
+    #[must_use]
+    pub fn export_hot_state(&self) -> UpsHotState {
+        UpsHotState {
+            battery: self.aggregate.export_hot_state(),
+            on_battery: self.on_battery,
+            available_fraction: self.available_fraction,
+            capacity_factor: self.capacity_factor,
+        }
+    }
+
+    /// Restores runtime state exported by
+    /// [`export_hot_state`](Self::export_hot_state) from a fleet built
+    /// with the same units, chemistry and rating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the derates are out of range (see
+    /// [`set_derating`](Self::set_derating)).
+    pub fn import_hot_state(&mut self, hot: UpsHotState) {
+        self.aggregate.import_hot_state(hot.battery);
+        self.on_battery = hot.on_battery;
+        self.set_derating(hot.available_fraction, hot.capacity_factor);
     }
 
     /// Returns the fraction of fleet capacity discharged so far (the

@@ -41,6 +41,6 @@ mod battery;
 mod chemistry;
 mod fleet;
 
-pub use battery::Battery;
+pub use battery::{Battery, BatteryHotState};
 pub use chemistry::Chemistry;
-pub use fleet::{FleetStatus, UpsFleet};
+pub use fleet::{FleetStatus, UpsFleet, UpsHotState};
