@@ -26,6 +26,15 @@ cargo clippy "${clippy_args[@]}" --all-targets --offline -- -D warnings
 echo "== tests =="
 cargo test --workspace --offline -q
 
+echo "== test registration (each test name once per binary) =="
+# A test registered twice runs twice and hides the true count. The listing
+# runs without -q, which would drop the per-binary `N tests, M benchmarks`
+# lines the check resets on.
+cargo test --workspace --offline -- --list 2>/dev/null | awk '
+  /^[0-9]+ tests?, [0-9]+ benchmarks?$/ { split("", seen); next }
+  /: test$/ && seen[$0]++ { print "duplicate test registration: " $0; dup = 1 }
+  END { exit dup }'
+
 echo "== docs (missing or broken docs are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 

@@ -98,13 +98,6 @@ impl DataCenterSpec {
         self
     }
 
-    /// Replaces the breaker trip curve.
-    #[must_use]
-    pub fn with_trip_curve(mut self, curve: TripCurve) -> DataCenterSpec {
-        self.trip_curve = curve;
-        self
-    }
-
     /// Returns the server specification.
     #[must_use]
     pub fn server(&self) -> &ServerSpec {

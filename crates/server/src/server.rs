@@ -176,13 +176,6 @@ impl ServerSpec {
             .normalized(f64::from(active), f64::from(self.normal_cores))
     }
 
-    /// Returns the normalized capacity at a sprinting degree (after
-    /// rounding the degree to whole cores).
-    #[must_use]
-    pub fn capacity_at_degree(&self, degree: Ratio) -> f64 {
-        self.capacity_at_cores(self.cores_at_degree(degree))
-    }
-
     /// Returns the fewest cores whose capacity covers a normalized
     /// `demand`, clamped to the chip's core count when the demand exceeds
     /// even a full sprint.

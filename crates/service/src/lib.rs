@@ -49,10 +49,7 @@ pub use config::{
     DEFAULT_DRAIN_DEADLINE_MS, DEFAULT_QUEUE_DEPTH, DEFAULT_READ_BUDGET_MS, DEFAULT_REPLAY_CACHE,
     DEFAULT_STALE_AFTER_MS, DEFAULT_STEP_SECS, DEFAULT_WINDOW_STEPS, DEFAULT_WORKERS,
 };
-pub use engine::{
-    open_store, Counters, EngineMsg, EngineStatus, Mode, ReloadOutcome, Shared, StepFailure,
-    StepOutcome,
-};
+pub use engine::{Engine, EngineReply, EngineRequest, Plant, StepFailure, StepOutcome};
 pub use hot::{ServiceHotState, HOT_STATE_KIND, HOT_STATE_SCHEMA};
 pub use netchaos::{ChaosProxy, FaultDirection, FaultKind, FaultPlan, ProxyStats};
 pub use protocol::{

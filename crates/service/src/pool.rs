@@ -16,26 +16,24 @@
 //! than served.
 
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::engine::{EngineMsg, Mode, Shared};
 use crate::http::write_json;
 use crate::protocol::ErrorBody;
-use crate::service::serve_connection;
+use crate::service::{serve_connection, EngineMsg, Mode, Shared};
 
 /// How often an idle worker re-checks the shutdown flag.
 const POOL_TICK: Duration = Duration::from_millis(50);
 
-/// Everything a connection worker needs to serve requests.
+/// Everything a connection worker (or the watchdog, or the drain
+/// coordinator) needs: the shared state and the engine's queue.
 pub(crate) struct ConnContext {
-    /// State shared with the engine and watchdog.
+    /// State shared with the engine thread.
     pub shared: Arc<Shared>,
-    /// Process-wide stop flag.
-    pub shutdown: Arc<AtomicBool>,
     /// The engine's bounded request queue.
     pub tx: SyncSender<EngineMsg>,
 }
@@ -93,9 +91,9 @@ impl ConnPool {
 }
 
 /// One worker: pull connections, serve them to completion.
-fn run_worker(rx: &Mutex<Receiver<TcpStream>>, ctx: &ConnContext) {
+fn run_worker(rx: &Mutex<Receiver<TcpStream>>, ctx: &Arc<ConnContext>) {
     loop {
-        if ctx.shutdown.load(Ordering::SeqCst) {
+        if ctx.shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         // Hold the lock only for the dequeue, never while serving.

@@ -99,7 +99,7 @@ impl ErrorBody {
 }
 
 /// One breaker's thermal standing in `/status`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct BreakerStatus {
     /// Breaker name (`dc`, `pdu-0`, …).
     pub name: String,
@@ -114,7 +114,7 @@ pub struct BreakerStatus {
 }
 
 /// The UPS fleet's standing in `/status`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct UpsStatus {
     /// Aggregate state of charge in `[0, 1]`.
     pub state_of_charge: f64,
@@ -125,7 +125,7 @@ pub struct UpsStatus {
 }
 
 /// The TES tank's standing in `/status`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct TesStatus {
     /// State of charge in `[0, 1]`.
     pub state_of_charge: f64,
@@ -137,7 +137,7 @@ pub struct TesStatus {
 /// for observability. Updated after every decision and immediately after
 /// a checkpoint restore, so comparing `facility` across a crash verifies
 /// bit-identical resumption.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FacilityStatus {
     /// Facility clock in seconds.
     pub time_secs: f64,
@@ -155,7 +155,7 @@ pub struct FacilityStatus {
 }
 
 /// Sprint-lifecycle summary in `/status`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SprintStatus {
     /// Strategy name.
     pub strategy: String,

@@ -41,9 +41,9 @@
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,7 +51,7 @@ use dcs_faults::ChaosSchedule;
 use dcs_sim::SimError;
 
 use crate::config::ServiceConfig;
-use crate::engine::{open_store, run_engine, EngineMsg, Mode, Shared, StepFailure};
+use crate::engine::{Engine, EngineReply, EngineRequest, EngineStatus, Plant, StepFailure};
 use crate::http::{read_request, render_json, write_json, ReadOutcome, Request};
 use crate::pool::{self, ConnContext, ConnPool};
 use crate::protocol::{
@@ -76,6 +76,206 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Poll interval for the drain coordinator's in-flight wait.
 const DRAIN_POLL: Duration = Duration::from_millis(5);
 
+/// Serving-state machine position, stored in [`Shared::mode`] as its
+/// `u8` discriminant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Mode {
+    /// Normal operation: decisions come from the physics engine.
+    Serving = 0,
+    /// Fail-safe operation: decisions are the non-sprint default.
+    Degraded = 1,
+    /// Shutting down: `/step` refuses, state is being checkpointed.
+    Draining = 2,
+}
+
+impl Mode {
+    /// Wire name (`serving`, `degraded`, `draining`).
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Serving => "serving",
+            Mode::Degraded => "degraded",
+            Mode::Draining => "draining",
+        }
+    }
+}
+
+/// Since-boot service counters (all atomic; incremented by whichever
+/// layer observed the event).
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    /// Physics-backed decisions served.
+    pub served: AtomicU64,
+    /// Requests that hit the decision deadline.
+    pub timeouts: AtomicU64,
+    /// Requests rejected by the bounded queue.
+    pub backpressure: AtomicU64,
+    /// Fail-safe decisions served while degraded.
+    pub degraded_served: AtomicU64,
+    /// Successful config reloads.
+    pub reloads: AtomicU64,
+    /// Rejected (rolled-back) config reloads.
+    pub reloads_rejected: AtomicU64,
+    /// Connections handed to the worker pool.
+    pub connections_accepted: AtomicU64,
+    /// Connections refused with a typed 503 (pool at capacity, or
+    /// draining).
+    pub connections_rejected: AtomicU64,
+    /// Requests rejected by the HTTP parser with a typed 4xx.
+    pub parse_rejects: AtomicU64,
+    /// Idempotent retries answered from the replay cache.
+    pub replays_served: AtomicU64,
+}
+
+/// State shared between the engine thread, the watchdog, and every
+/// connection thread.
+pub(crate) struct Shared {
+    /// Current [`Mode`] discriminant.
+    pub mode: AtomicU8,
+    /// The demand feed has gone silent past the configured window.
+    pub stale_feed: AtomicBool,
+    /// A decision overran its deadline and the engine has not yet proven
+    /// healthy again.
+    pub engine_overrun: AtomicBool,
+    /// Milliseconds (since `started`) of the most recent `/step` arrival.
+    pub last_feed_ms: AtomicU64,
+    /// Fail-safe core count the degraded path actuates (the plant's
+    /// normal, non-sprint count).
+    pub failsafe_cores: AtomicU32,
+    /// Config generation; bumped on each successful reload.
+    pub config_generation: AtomicU64,
+    /// Connections currently being served by pool workers (gauge).
+    pub connections_active: AtomicU64,
+    /// Requests currently being routed (gauge; a drain waits for this to
+    /// reach zero).
+    pub requests_in_flight: AtomicU64,
+    /// Uptime milliseconds at which a drain began (`u64::MAX` before).
+    pub drain_started_ms: AtomicU64,
+    /// Process-wide stop flag.
+    pub shutdown: AtomicBool,
+    /// Process start, the epoch for `last_feed_ms` and uptime.
+    pub started: Instant,
+    /// Since-boot counters.
+    pub counters: Counters,
+    /// The engine's status snapshot.
+    pub status: Mutex<EngineStatus>,
+    /// The live config (connection threads read serving knobs from here).
+    pub config: Mutex<Arc<ServiceConfig>>,
+    /// The most recent rejected reload's error.
+    pub last_reload_error: Mutex<Option<String>>,
+}
+
+impl Shared {
+    /// Builds the shared block for a service booting with `config`.
+    fn new(config: Arc<ServiceConfig>) -> Shared {
+        Shared {
+            mode: AtomicU8::new(Mode::Serving as u8),
+            stale_feed: AtomicBool::new(false),
+            engine_overrun: AtomicBool::new(false),
+            last_feed_ms: AtomicU64::new(0),
+            failsafe_cores: AtomicU32::new(0),
+            config_generation: AtomicU64::new(1),
+            connections_active: AtomicU64::new(0),
+            requests_in_flight: AtomicU64::new(0),
+            drain_started_ms: AtomicU64::new(u64::MAX),
+            shutdown: AtomicBool::new(false),
+            started: Instant::now(),
+            counters: Counters::default(),
+            status: Mutex::new(EngineStatus::default()),
+            config: Mutex::new(config),
+            last_reload_error: Mutex::new(None),
+        }
+    }
+
+    /// Current mode.
+    pub fn mode(&self) -> Mode {
+        match self.mode.load(Ordering::SeqCst) {
+            1 => Mode::Degraded,
+            2 => Mode::Draining,
+            _ => Mode::Serving,
+        }
+    }
+
+    /// Sets the mode, never overwriting `Draining`.
+    pub fn set_mode(&self, mode: Mode) {
+        let draining = Mode::Draining as u8;
+        let _ = self
+            .mode
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |raw| {
+                (raw != draining).then_some(mode as u8)
+            });
+    }
+
+    /// Milliseconds since the service started.
+    pub fn uptime_ms(&self) -> u64 {
+        u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
+    }
+
+    /// The current config.
+    pub fn current_config(&self) -> Arc<ServiceConfig> {
+        self.config.lock().expect("config lock").clone()
+    }
+}
+
+/// A request on its way to the engine thread, with the rendezvous
+/// channel its answer goes back on. The engine never blocks on a reply —
+/// a caller that timed out and went away just drops its receiver.
+pub(crate) type EngineMsg = (EngineRequest, SyncSender<EngineReply>);
+
+/// The engine thread body: builds an [`Engine`] on `plant`, publishes its
+/// state, and serves the queue until a drain or until every sender is
+/// gone. A plant-changing reload hands back the next plant, and the next
+/// engine is built on it.
+fn run_engine(rx: &Receiver<EngineMsg>, shared: &Shared, chaos: &ChaosSchedule, mut plant: Plant) {
+    loop {
+        let mut engine = Engine::new(&mut plant, chaos);
+        shared
+            .failsafe_cores
+            .store(engine.facility.normal_cores(), Ordering::SeqCst);
+        engine.publish(&mut shared.status.lock().expect("status lock"));
+        let Some(next) = serve(rx, &mut engine, shared) else {
+            return;
+        };
+        drop(engine);
+        plant = *next;
+    }
+}
+
+/// Serves the queue on one engine: sleeps out injected stalls, publishes
+/// each change, installs reloaded configs, then replies. Returns the next
+/// plant after a plant-changing reload, `None` once the engine is done.
+fn serve(rx: &Receiver<EngineMsg>, engine: &mut Engine<'_>, shared: &Shared) -> Option<Box<Plant>> {
+    while let Ok((request, reply)) = rx.recv() {
+        let (answer, next) = match engine.handle(request) {
+            EngineReply::Rebuild(plant) => (EngineReply::Reloaded { rebuilt: true }, Some(plant)),
+            answer => (answer, None),
+        };
+        let done = matches!(answer, EngineReply::Drained);
+        match &answer {
+            EngineReply::Step { result, stall_ms } => {
+                if *stall_ms > 0 {
+                    std::thread::sleep(Duration::from_millis(*stall_ms));
+                }
+                if result.as_ref().is_ok_and(|outcome| !outcome.replayed) {
+                    engine.publish(&mut shared.status.lock().expect("status lock"));
+                }
+            }
+            EngineReply::Reloaded { .. } => {
+                let config = next.as_ref().map_or(&engine.config, |plant| &plant.config);
+                *shared.config.lock().expect("config lock") = config.clone();
+                shared.config_generation.fetch_add(1, Ordering::SeqCst);
+                engine.publish(&mut shared.status.lock().expect("status lock"));
+            }
+            _ => {}
+        }
+        let _ = reply.try_send(answer);
+        if done || next.is_some() {
+            return next;
+        }
+    }
+    None
+}
+
 /// Boot options for [`SprintService::spawn`].
 #[derive(Debug, Default)]
 pub struct ServiceOptions {
@@ -89,9 +289,7 @@ pub struct ServiceOptions {
 /// A running sprint-control service.
 pub struct SprintService {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    shutdown: Arc<AtomicBool>,
-    tx: SyncSender<EngineMsg>,
+    ctx: Arc<ConnContext>,
     engine: Option<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
@@ -106,13 +304,8 @@ impl SprintService {
         port: u16,
     ) -> Result<SprintService, SimError> {
         config.validate()?;
-        let (store, restored) = match options.state_dir.as_deref() {
-            Some(dir) => {
-                let (store, restored) = open_store(dir, &config)?;
-                (Some(store), restored)
-            }
-            None => (None, None),
-        };
+        let config = Arc::new(config);
+        let plant = Plant::open(config.clone(), options.state_dir.as_deref())?;
         let listener = TcpListener::bind(("127.0.0.1", port))
             .map_err(|e| SimError::service(format!("bind 127.0.0.1:{port}: {e}")))?;
         let addr = listener
@@ -122,56 +315,45 @@ impl SprintService {
             .set_nonblocking(true)
             .map_err(|e| SimError::service(format!("set_nonblocking: {e}")))?;
 
-        let config = Arc::new(config);
         let shared = Arc::new(Shared::new(config.clone()));
-        let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = sync_channel::<EngineMsg>(config.queue_depth());
 
         let engine = {
             let shared = shared.clone();
-            let state_dir = options.state_dir.clone();
-            let chaos = options.chaos.clone();
             std::thread::Builder::new()
                 .name("sprintd-engine".to_string())
-                .spawn(move || {
-                    run_engine(&rx, &shared, state_dir.as_deref(), &chaos, store, restored);
-                })
+                .spawn(move || run_engine(&rx, &shared, &options.chaos, plant))
                 .map_err(|e| SimError::service(format!("spawn engine: {e}")))?
         };
         // Accept nothing before the engine has published the restored
-        // state: it answers a ping only after its first publish_status, so
-        // the first /status after a restart never reads the boot default.
-        let (ready, booted) = sync_channel(1);
-        tx.send(EngineMsg::Ping { reply: ready })
+        // state: it answers a ping only after its first publish, so the
+        // first /status after a restart never reads the boot default.
+        let (reply, booted) = sync_channel(1);
+        tx.send((EngineRequest::Ping, reply))
             .ok()
             .and_then(|()| booted.recv().ok())
             .ok_or_else(|| SimError::service("engine exited during boot"))?;
+        let ctx = Arc::new(ConnContext { shared, tx });
         let watchdog = {
-            let shared = shared.clone();
-            let shutdown = shutdown.clone();
-            let tx = tx.clone();
+            let ctx = ctx.clone();
             std::thread::Builder::new()
                 .name("sprintd-watchdog".to_string())
-                .spawn(move || run_watchdog(&shared, &shutdown, &tx))
+                .spawn(move || run_watchdog(&ctx))
                 .map_err(|e| SimError::service(format!("spawn watchdog: {e}")))?
         };
-        let ctx = Arc::new(ConnContext {
-            shared: shared.clone(),
-            shutdown: shutdown.clone(),
-            tx: tx.clone(),
-        });
         let conn_pool = ConnPool::spawn(config.workers(), config.accept_queue(), ctx.clone())
             .map_err(|e| SimError::service(format!("spawn worker pool: {e}")))?;
-        let acceptor = std::thread::Builder::new()
-            .name("sprintd-accept".to_string())
-            .spawn(move || run_acceptor(&listener, conn_pool, &ctx))
-            .map_err(|e| SimError::service(format!("spawn acceptor: {e}")))?;
+        let acceptor = {
+            let ctx = ctx.clone();
+            std::thread::Builder::new()
+                .name("sprintd-accept".to_string())
+                .spawn(move || run_acceptor(&listener, conn_pool, &ctx))
+                .map_err(|e| SimError::service(format!("spawn acceptor: {e}")))?
+        };
 
         Ok(SprintService {
             addr,
-            shared,
-            shutdown,
-            tx,
+            ctx,
             engine: Some(engine),
             acceptor: Some(acceptor),
             watchdog: Some(watchdog),
@@ -184,17 +366,11 @@ impl SprintService {
         self.addr
     }
 
-    /// The shared state block (tests poke at mode/counters through this).
-    #[must_use]
-    pub fn shared(&self) -> &Arc<Shared> {
-        &self.shared
-    }
-
     /// Starts a graceful drain without blocking: new work is refused
     /// immediately, in-flight requests finish under the drain deadline,
     /// then the final checkpoint lands and the threads stop. Idempotent.
     pub fn drain(&self) {
-        begin_drain(self.shared.clone(), self.shutdown.clone(), self.tx.clone());
+        begin_drain(&self.ctx);
     }
 
     /// `true` once the engine thread has exited (the drain's final
@@ -205,46 +381,41 @@ impl SprintService {
     }
 
     /// Drains and stops the service: in-flight requests finish, the
-    /// final checkpoint lands, threads are joined.
-    pub fn shutdown(mut self) {
-        self.drain();
-        self.wait_drained();
-        self.join_threads();
+    /// final checkpoint lands, threads are joined (what dropping it does).
+    pub fn shutdown(self) {
+        drop(self);
     }
 
     /// Blocks until the service drains (a `POST /shutdown`, a signal
     /// relayed via [`SprintService::drain`], or a dropped engine). Used
     /// by `sprintd`'s main thread.
     pub fn join(mut self) {
-        if let Some(engine) = self.engine.take() {
-            let _ = engine.join();
-        }
-        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = self.engine.take().map(JoinHandle::join);
         self.join_threads();
     }
 
     /// Waits (bounded) for the drain coordinator to set the shutdown
     /// flag: the drain deadline plus the engine's checkpoint timeout.
     fn wait_drained(&self) {
-        let cap = Duration::from_millis(self.shared.current_config().drain_deadline_ms())
+        let shared = &self.ctx.shared;
+        let cap = Duration::from_millis(shared.current_config().drain_deadline_ms())
             + RELOAD_TIMEOUT
             + Duration::from_secs(1);
         let start = Instant::now();
-        while !self.shutdown.load(Ordering::SeqCst) && start.elapsed() < cap {
+        while !shared.shutdown.load(Ordering::SeqCst) && start.elapsed() < cap {
             std::thread::sleep(DRAIN_POLL);
         }
     }
 
     fn join_threads(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(engine) = self.engine.take() {
-            let _ = engine.join();
-        }
-        if let Some(watchdog) = self.watchdog.take() {
-            let _ = watchdog.join();
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        self.ctx.shared.shutdown.store(true, Ordering::SeqCst);
+        let threads = [
+            self.engine.take(),
+            self.watchdog.take(),
+            self.acceptor.take(),
+        ];
+        for thread in threads.into_iter().flatten() {
+            let _ = thread.join();
         }
     }
 }
@@ -252,7 +423,7 @@ impl SprintService {
 impl Drop for SprintService {
     fn drop(&mut self) {
         if self.engine.is_some() {
-            begin_drain(self.shared.clone(), self.shutdown.clone(), self.tx.clone());
+            begin_drain(&self.ctx);
             self.wait_drained();
             self.join_threads();
         }
@@ -263,7 +434,8 @@ impl Drop for SprintService {
 /// refused with typed statuses, then hands the wait to a coordinator
 /// thread — the caller may itself be an in-flight request, so it must
 /// not wait for in-flight requests to reach zero.
-fn begin_drain(shared: Arc<Shared>, shutdown: Arc<AtomicBool>, tx: SyncSender<EngineMsg>) {
+fn begin_drain(ctx: &Arc<ConnContext>) {
+    let shared = &ctx.shared;
     shared.set_mode(Mode::Draining);
     let now = shared.uptime_ms().min(u64::MAX - 1);
     if shared
@@ -274,39 +446,39 @@ fn begin_drain(shared: Arc<Shared>, shutdown: Arc<AtomicBool>, tx: SyncSender<En
         return; // a coordinator is already running
     }
     let spawned = {
-        let shared = shared.clone();
-        let shutdown = shutdown.clone();
-        let tx = tx.clone();
+        let ctx = ctx.clone();
         std::thread::Builder::new()
             .name("sprintd-drain".to_string())
-            .spawn(move || run_drain(&shared, &shutdown, &tx))
+            .spawn(move || run_drain(&ctx))
     };
     if spawned.is_err() {
         // Out of threads: drain inline. The caller blocks for the drain
         // duration, but the shutdown still completes correctly.
-        run_drain(&shared, &shutdown, &tx);
+        run_drain(ctx);
     }
 }
 
 /// The drain coordinator body: wait out in-flight requests (bounded by
 /// the drain deadline), ask the engine for its final checkpoint, set the
 /// process-wide shutdown flag.
-fn run_drain(shared: &Shared, shutdown: &AtomicBool, tx: &SyncSender<EngineMsg>) {
+fn run_drain(ctx: &ConnContext) {
+    let shared = &ctx.shared;
     let deadline = Duration::from_millis(shared.current_config().drain_deadline_ms());
     let start = Instant::now();
     while shared.requests_in_flight.load(Ordering::SeqCst) > 0 && start.elapsed() < deadline {
         std::thread::sleep(DRAIN_POLL);
     }
     let (reply, done) = sync_channel(1);
-    if tx.send(EngineMsg::Drain { reply }).is_ok() {
+    if ctx.tx.send((EngineRequest::Drain, reply)).is_ok() {
         let _ = done.recv_timeout(RELOAD_TIMEOUT);
     }
-    shutdown.store(true, Ordering::SeqCst);
+    shared.shutdown.store(true, Ordering::SeqCst);
 }
 
 /// The watchdog: stale-feed detection and degraded-mode recovery.
-fn run_watchdog(shared: &Arc<Shared>, shutdown: &AtomicBool, tx: &SyncSender<EngineMsg>) {
-    while !shutdown.load(Ordering::SeqCst) {
+fn run_watchdog(ctx: &ConnContext) {
+    let shared = &ctx.shared;
+    while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(WATCHDOG_TICK);
         let config = shared.current_config();
         let stale_after = config.stale_after_ms();
@@ -324,7 +496,7 @@ fn run_watchdog(shared: &Arc<Shared>, shutdown: &AtomicBool, tx: &SyncSender<Eng
             Mode::Degraded => {
                 // Recovery needs both a fresh feed and a live engine:
                 // probe with a Ping under the decision deadline.
-                if feed_fresh && engine_alive(tx, config.deadline_ms()) {
+                if feed_fresh && engine_alive(&ctx.tx, config.deadline_ms()) {
                     shared.stale_feed.store(false, Ordering::SeqCst);
                     shared.engine_overrun.store(false, Ordering::SeqCst);
                     shared.set_mode(Mode::Serving);
@@ -337,7 +509,7 @@ fn run_watchdog(shared: &Arc<Shared>, shutdown: &AtomicBool, tx: &SyncSender<Eng
 /// Probes the engine with a Ping bounded by `deadline_ms`.
 fn engine_alive(tx: &SyncSender<EngineMsg>, deadline_ms: u64) -> bool {
     let (reply, pong) = sync_channel(1);
-    match tx.try_send(EngineMsg::Ping { reply }) {
+    match tx.try_send((EngineRequest::Ping, reply)) {
         Ok(()) => pong
             .recv_timeout(Duration::from_millis(deadline_ms))
             .is_ok(),
@@ -349,7 +521,7 @@ fn engine_alive(tx: &SyncSender<EngineMsg>, deadline_ms: u64) -> bool {
 /// while draining) the peer gets an immediate typed `503` and a close —
 /// never a silent drop.
 fn run_acceptor(listener: &TcpListener, conn_pool: ConnPool, ctx: &Arc<ConnContext>) {
-    while !ctx.shutdown.load(Ordering::SeqCst) {
+    while !ctx.shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 if ctx.shared.mode() == Mode::Draining {
@@ -404,7 +576,7 @@ fn flush(writer: &mut TcpStream, out: &mut Vec<u8>) -> bool {
 /// — and the parser's `stop` hook (which runs exactly when the read is
 /// about to block) flushes anything still pending, so a response is
 /// never withheld from a peer that is waiting for it.
-pub(crate) fn serve_connection(stream: TcpStream, ctx: &ConnContext) {
+pub(crate) fn serve_connection(stream: TcpStream, ctx: &Arc<ConnContext>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
@@ -416,7 +588,7 @@ pub(crate) fn serve_connection(stream: TcpStream, ctx: &ConnContext) {
     let mut out: Vec<u8> = Vec::with_capacity(1024);
     let mut idle_since = Instant::now();
     loop {
-        if ctx.shutdown.load(Ordering::SeqCst) {
+        if ctx.shared.shutdown.load(Ordering::SeqCst) {
             let _ = flush(&mut writer, &mut out);
             return;
         }
@@ -426,7 +598,7 @@ pub(crate) fn serve_connection(stream: TcpStream, ctx: &ConnContext) {
                 if !flush(&mut writer, &mut out) {
                     return true;
                 }
-                ctx.shutdown.load(Ordering::SeqCst)
+                ctx.shared.shutdown.load(Ordering::SeqCst)
             };
             read_request(&mut reader, budget, &mut stop)
         };
@@ -479,7 +651,7 @@ pub(crate) fn serve_connection(stream: TcpStream, ctx: &ConnContext) {
 }
 
 /// Dispatches one request.
-fn route(request: &Request, ctx: &ConnContext) -> (u16, String) {
+fn route(request: &Request, ctx: &Arc<ConnContext>) -> (u16, String) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => handle_healthz(&ctx.shared),
         ("GET", "/status") => handle_status(&ctx.shared),
@@ -605,10 +777,13 @@ fn handle_step(body: &[u8], shared: &Arc<Shared>, tx: &SyncSender<EngineMsg>) ->
 
     let config = shared.current_config();
     match shared.mode() {
-        Mode::Draining => (
-            503,
-            ErrorBody::new("draining", "service is draining").to_json(),
-        ),
+        Mode::Serving => {}
+        Mode::Draining => {
+            return (
+                503,
+                ErrorBody::new("draining", "service is draining").to_json(),
+            )
+        }
         Mode::Degraded => {
             shared
                 .counters
@@ -619,7 +794,7 @@ fn handle_step(body: &[u8], shared: &Arc<Shared>, tx: &SyncSender<EngineMsg>) ->
             } else {
                 "engine_overrun"
             };
-            json_or_500(
+            return json_or_500(
                 200,
                 &StepResponse {
                     degraded: true,
@@ -629,87 +804,97 @@ fn handle_step(body: &[u8], shared: &Arc<Shared>, tx: &SyncSender<EngineMsg>) ->
                     decision_index: None,
                     replayed: false,
                 },
+            );
+        }
+    }
+    let (reply, outcome) = sync_channel(1);
+    let request = EngineRequest::Step {
+        demand: step.demand,
+        dt_secs: step.dt_secs,
+        expect_index: step.expect_index,
+    };
+    match tx.try_send((request, reply)) {
+        Ok(()) => {}
+        Err(TrySendError::Full(_)) => {
+            shared.counters.backpressure.fetch_add(1, Ordering::SeqCst);
+            let mut error = ErrorBody::new(
+                "backpressure",
+                format!("decision queue full ({} deep)", config.queue_depth()),
+            );
+            error.error.queue_depth = Some(config.queue_depth() as u64);
+            return (429, error.to_json());
+        }
+        Err(TrySendError::Disconnected(_)) => {
+            return (
+                503,
+                ErrorBody::new("decision_failed", "engine is gone").to_json(),
             )
         }
-        Mode::Serving => {
-            let (reply, outcome) = sync_channel(1);
-            match tx.try_send(EngineMsg::Step {
-                demand: step.demand,
-                dt_secs: step.dt_secs,
-                expect_index: step.expect_index,
-                reply,
-            }) {
-                Err(TrySendError::Full(_)) => {
-                    shared.counters.backpressure.fetch_add(1, Ordering::SeqCst);
-                    let mut error = ErrorBody::new(
-                        "backpressure",
-                        format!("decision queue full ({} deep)", config.queue_depth()),
-                    );
-                    error.error.queue_depth = Some(config.queue_depth() as u64);
-                    (429, error.to_json())
-                }
-                Err(TrySendError::Disconnected(_)) => (
-                    503,
-                    ErrorBody::new("decision_failed", "engine is gone").to_json(),
-                ),
-                Ok(()) => match outcome.recv_timeout(Duration::from_millis(config.deadline_ms())) {
-                    Ok(Ok(step)) => {
-                        shared.counters.served.fetch_add(1, Ordering::SeqCst);
-                        json_or_500(
-                            200,
-                            &StepResponse {
-                                degraded: false,
-                                degraded_reason: None,
-                                record: Some(step.record),
-                                failsafe_cores: None,
-                                decision_index: Some(step.decision_index),
-                                replayed: step.replayed,
-                            },
-                        )
-                    }
-                    Ok(Err(StepFailure::Failed(message))) => {
-                        (503, ErrorBody::new("decision_failed", message).to_json())
-                    }
-                    Ok(Err(StepFailure::ReplayGap { expect, floor })) => (
-                        409,
-                        ErrorBody::new(
-                            "replay_gap",
-                            format!(
-                                "decision {expect} is older than the replay-cache floor {floor}; \
-                                 its outcome is no longer knowable"
-                            ),
-                        )
-                        .to_json(),
-                    ),
-                    Ok(Err(StepFailure::IndexConflict { expect, decisions })) => (
-                        409,
-                        ErrorBody::new(
-                            "index_conflict",
-                            format!(
-                                "expected decision {expect} but the plant is at {decisions} \
-                                 (a different request may already hold that index)"
-                            ),
-                        )
-                        .to_json(),
-                    ),
-                    Err(RecvTimeoutError::Timeout) => {
-                        shared.counters.timeouts.fetch_add(1, Ordering::SeqCst);
-                        shared.engine_overrun.store(true, Ordering::SeqCst);
-                        shared.set_mode(Mode::Degraded);
-                        let mut error = ErrorBody::new(
-                            "deadline_exceeded",
-                            format!("decision overran {} ms", config.deadline_ms()),
-                        );
-                        error.error.deadline_ms = Some(config.deadline_ms());
-                        (503, error.to_json())
-                    }
-                    Err(RecvTimeoutError::Disconnected) => (
-                        503,
-                        ErrorBody::new("decision_failed", "engine dropped the request").to_json(),
-                    ),
-                },
-            }
+    }
+    let result = match outcome.recv_timeout(Duration::from_millis(config.deadline_ms())) {
+        Ok(EngineReply::Step { result, .. }) => result,
+        Err(RecvTimeoutError::Timeout) => {
+            shared.counters.timeouts.fetch_add(1, Ordering::SeqCst);
+            shared.engine_overrun.store(true, Ordering::SeqCst);
+            shared.set_mode(Mode::Degraded);
+            let mut error = ErrorBody::new(
+                "deadline_exceeded",
+                format!("decision overran {} ms", config.deadline_ms()),
+            );
+            error.error.deadline_ms = Some(config.deadline_ms());
+            return (503, error.to_json());
         }
+        Ok(_) | Err(RecvTimeoutError::Disconnected) => {
+            return (
+                503,
+                ErrorBody::new("decision_failed", "engine dropped the request").to_json(),
+            )
+        }
+    };
+    match result {
+        Ok(step) => {
+            let counters = &shared.counters;
+            counters.served.fetch_add(1, Ordering::SeqCst);
+            if step.replayed {
+                counters.replays_served.fetch_add(1, Ordering::SeqCst);
+            }
+            json_or_500(
+                200,
+                &StepResponse {
+                    degraded: false,
+                    degraded_reason: None,
+                    record: Some(step.record),
+                    failsafe_cores: None,
+                    decision_index: Some(step.decision_index),
+                    replayed: step.replayed,
+                },
+            )
+        }
+        Err(StepFailure::Failed(message)) => {
+            (503, ErrorBody::new("decision_failed", message).to_json())
+        }
+        Err(StepFailure::ReplayGap { expect, floor }) => (
+            409,
+            ErrorBody::new(
+                "replay_gap",
+                format!(
+                    "decision {expect} is older than the replay-cache floor {floor}; \
+                     its outcome is no longer knowable"
+                ),
+            )
+            .to_json(),
+        ),
+        Err(StepFailure::IndexConflict { expect, decisions }) => (
+            409,
+            ErrorBody::new(
+                "index_conflict",
+                format!(
+                    "expected decision {expect} but the plant is at {decisions} \
+                     (a different request may already hold that index)"
+                ),
+            )
+            .to_json(),
+        ),
     }
 }
 
@@ -733,17 +918,12 @@ fn handle_reload(body: &[u8], shared: &Arc<Shared>, tx: &SyncSender<EngineMsg>) 
         Err(e) => return reject(shared, 400, "config", e.to_string()),
     };
     let (reply, done) = sync_channel(1);
-    if tx
-        .send(EngineMsg::Reload {
-            config: Box::new(config),
-            reply,
-        })
-        .is_err()
-    {
+    let request = EngineRequest::Reload(Box::new(config));
+    if tx.send((request, reply)).is_err() {
         return reject(shared, 503, "config", "engine is gone".to_string());
     }
     match done.recv_timeout(RELOAD_TIMEOUT) {
-        Ok(Ok(outcome)) => {
+        Ok(EngineReply::Reloaded { rebuilt }) => {
             shared.counters.reloads.fetch_add(1, Ordering::SeqCst);
             *shared.last_reload_error.lock().expect("reload lock") = None;
             json_or_500(
@@ -751,19 +931,19 @@ fn handle_reload(body: &[u8], shared: &Arc<Shared>, tx: &SyncSender<EngineMsg>) 
                 &ReloadResponse {
                     reloaded: true,
                     config_generation: shared.config_generation.load(Ordering::SeqCst),
-                    rebuilt: outcome.rebuilt,
+                    rebuilt,
                 },
             )
         }
-        Ok(Err(message)) => reject(shared, 503, "config", message),
-        Err(_) => reject(shared, 503, "config", "reload timed out".to_string()),
+        Ok(EngineReply::ReloadFailed(message)) => reject(shared, 503, "config", message),
+        Ok(_) | Err(_) => reject(shared, 503, "config", "reload timed out".to_string()),
     }
 }
 
 /// `POST /shutdown`: starts the graceful drain and answers immediately.
 /// The coordinator finishes in-flight requests (this one included),
 /// writes the final checkpoint, and stops the process's serving threads.
-fn handle_shutdown(ctx: &ConnContext) -> (u16, String) {
-    begin_drain(ctx.shared.clone(), ctx.shutdown.clone(), ctx.tx.clone());
+fn handle_shutdown(ctx: &Arc<ConnContext>) -> (u16, String) {
+    begin_drain(ctx);
     json_or_500(200, &ShutdownResponse { draining: true })
 }

@@ -44,16 +44,6 @@ impl Scenario {
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
-
-    /// Returns a copy with a different trace.
-    #[must_use]
-    pub fn with_trace(&self, trace: Trace) -> Scenario {
-        Scenario {
-            spec: self.spec.clone(),
-            config: self.config.clone(),
-            trace,
-        }
-    }
 }
 
 /// The outcome of one simulated run.

@@ -116,12 +116,6 @@ impl Seconds {
         self.0 / 60.0
     }
 
-    /// Returns the duration in hours.
-    #[must_use]
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3600.0
-    }
-
     /// Returns `true` if this is the unbounded [`Seconds::NEVER`] duration.
     #[must_use]
     pub fn is_never(self) -> bool {

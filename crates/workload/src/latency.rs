@@ -64,21 +64,6 @@ impl LatencyModel {
         }
     }
 
-    /// Sets the utilization ceiling (default 0.99) and returns the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is not in `(0, 1)`.
-    #[must_use]
-    pub fn with_max_utilization(mut self, cap: f64) -> LatencyModel {
-        assert!(
-            (0.0..1.0).contains(&cap) && cap > 0.0,
-            "cap must be in (0, 1)"
-        );
-        self.max_utilization = cap;
-        self
-    }
-
     /// Returns the intrinsic service time.
     #[must_use]
     pub fn service_time(&self) -> Seconds {
